@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError, ShapeError
-from .nets import PROB_EPS, AdamState, Net, adam_step, clamp_prob, make_net
+from .nets import (PROB_EPS, AdamState, MlpSpec, Net, adam_step, clamp_prob,
+                   init_mlp, make_net)
 
 REGION_POSITIVE = "P"
 REGION_NEGATIVE = "N"
@@ -135,7 +136,13 @@ def sim_loss(e_i, e_fused, e_j, margin):
 
 @dataclass
 class ReconcilerModel:
-    """Shared embedder (per-input heads + common trunk) and binary classifier."""
+    """Shared embedder (per-input heads + common trunk) and binary classifier.
+
+    The trunk and every head keep their parameters in one flat vector,
+    ``embed_params``, so one Adam call updates the whole embedder.
+    ``embed_slices`` maps "trunk", a view index or a view-index pair to that
+    net's slice of it, and of every embedder gradient.
+    """
 
     trunk: Net
     view_heads: dict
@@ -147,14 +154,8 @@ class ReconcilerModel:
     adv_weight: float     # beta
     embed_opt: AdamState
     cls_opt: AdamState
-
-    def embedder_blocks(self):
-        blocks = list(self.trunk.blocks())
-        for i in sorted(self.view_heads):
-            blocks.extend(self.view_heads[i].blocks())
-        for key in sorted(self.pair_heads):
-            blocks.extend(self.pair_heads[key].blocks())
-        return blocks
+    embed_params: np.ndarray
+    embed_slices: dict
 
     def embed_view(self, x, view_index):
         head = self.view_heads[view_index]
@@ -177,22 +178,27 @@ def build_reconciler(view_dims, rng, embed_width=32, head_width=64,
                      margin=0.05, pseudo_label=0.5, sim_weight=0.3,
                      adv_weight=0.5, learning_rate=1e-4):
     """Fresh model: one head per view, one per unordered view pair, shared
-    two-layer trunk, 3-layer sigmoid classifier."""
-    view_heads = {
-        i: make_net([d, head_width], ["relu"], rng) for i, d in enumerate(view_dims)
-    }
-    pair_heads = {}
+    two-layer trunk, 3-layer sigmoid classifier. The heads and the trunk are
+    initialised in that order, inside one flat embedder vector."""
+    specs = {i: MlpSpec((d, head_width), ("relu",)) for i, d in enumerate(view_dims)}
     for i in range(len(view_dims)):
         for j in range(i + 1, len(view_dims)):
-            pair_heads[(i, j)] = make_net(
-                [view_dims[i] + view_dims[j], head_width], ["relu"], rng
-            )
-    trunk = make_net([head_width, head_width, embed_width], ["relu", "identity"], rng)
+            specs[(i, j)] = MlpSpec((view_dims[i] + view_dims[j], head_width),
+                                    ("relu",))
+    specs["trunk"] = MlpSpec((head_width, head_width, embed_width),
+                             ("relu", "identity"))
+    slices, start = {}, 0
+    for key, spec in specs.items():
+        slices[key] = slice(start, start + spec.size)
+        start += spec.size
+    embed_params = np.empty(start)
+    nets = {key: Net(spec, init_mlp(spec, rng, embed_params[slices[key]]))
+            for key, spec in specs.items()}
     classifier = make_net([embed_width, 16, 8, 1], ["relu", "relu", "sigmoid"], rng)
     return ReconcilerModel(
-        trunk=trunk,
-        view_heads=view_heads,
-        pair_heads=pair_heads,
+        trunk=nets.pop("trunk"),
+        view_heads={i: nets.pop(i) for i in range(len(view_dims))},
+        pair_heads=nets,
         classifier=classifier,
         margin=margin,
         pseudo_label=pseudo_label,
@@ -200,6 +206,8 @@ def build_reconciler(view_dims, rng, embed_width=32, head_width=64,
         adv_weight=adv_weight,
         embed_opt=AdamState(learning_rate=learning_rate),
         cls_opt=AdamState(learning_rate=learning_rate),
+        embed_params=embed_params,
+        embed_slices=slices,
     )
 
 
@@ -210,26 +218,18 @@ def _group_pairs(batch):
     return groups
 
 
-def _zero_grads_like(net):
-    return [np.zeros_like(b) for b in net.blocks()]
+def _batch_losses_and_grads(model, dataset, batch, embedder=True):
+    """Both loss values and the gradients of J = alpha*L_sim - beta*L_adv.
 
-
-def _accumulate(target, grads):
-    for t, g in zip(target, grads.blocks()):
-        t += g
-
-
-def _batch_losses_and_grads(model, dataset, batch):
-    """Both loss values and all gradients of J = alpha*L_sim - beta*L_adv.
-
-    Returns (L_sim, L_adv, embedder gradient blocks of J,
-    classifier gradient blocks of beta*L_adv), batch-mean normalized.
+    Returns (L_sim, L_adv, embedder gradient of J laid out like
+    ``model.embed_params``, classifier gradient of beta*L_adv laid out like
+    ``model.classifier.params.flat``), batch-mean normalized. With
+    ``embedder=False`` the trunk and head backward passes are skipped and the
+    embedder gradient is None.
     """
     b = len(batch)
-    g_trunk = _zero_grads_like(model.trunk)
-    g_view = {i: _zero_grads_like(net) for i, net in model.view_heads.items()}
-    g_pair = {k: _zero_grads_like(net) for k, net in model.pair_heads.items()}
-    g_cls = _zero_grads_like(model.classifier)
+    g_embed = np.zeros(model.embed_params.size) if embedder else None
+    g_cls = np.zeros(model.classifier.spec.size)
     sim_total = 0.0
     adv_total = 0.0
     alpha, beta, ell, m = (model.sim_weight, model.adv_weight,
@@ -268,43 +268,33 @@ def _batch_losses_and_grads(model, dataset, batch):
         gc_j, dadv_ej = model.classifier.backward(c_cls_j, dadv_pj)
 
         # classifier minimizes beta * L_adv
-        for t, a, b_ in zip(g_cls, gc_i.blocks(), gc_j.blocks()):
-            t += beta * (a + b_) / b
+        g_cls += beta * (gc_i.flat + gc_j.flat) / b
+        if not embedder:
+            continue
 
         # embedder minimizes J = alpha*L_sim - beta*L_adv
         dj_ei = (alpha * dsim_ei - beta * dadv_ei) / b
         dj_ej = (alpha * dsim_ej - beta * dadv_ej) / b
         dj_ef = alpha * dsim_ef / b
-        for e_grad, (c_head, c_trunk), head_grads in (
-            (dj_ei, cache_i, g_view[i]),
-            (dj_ej, cache_j, g_view[j]),
-            (dj_ef, cache_f, g_pair[(i, j)]),
+        g_trunk = g_embed[model.embed_slices["trunk"]]
+        for e_grad, (c_head, c_trunk), head, key in (
+            (dj_ei, cache_i, model.view_heads[i], i),
+            (dj_ej, cache_j, model.view_heads[j], j),
+            (dj_ef, cache_f, model.pair_heads[(i, j)], (i, j)),
         ):
-            gt, dh = model.trunk.backward(c_trunk, e_grad)
-            _accumulate(g_trunk, gt)
-            if head_grads is g_view[i]:
-                gh, _ = model.view_heads[i].backward(c_head, dh)
-            elif head_grads is g_view[j]:
-                gh, _ = model.view_heads[j].backward(c_head, dh)
-            else:
-                gh, _ = model.pair_heads[(i, j)].backward(c_head, dh)
-            _accumulate(head_grads, gh)
+            _, dh = model.trunk.backward(c_trunk, e_grad, g_trunk)
+            head.backward(c_head, dh, g_embed[model.embed_slices[key]])
 
-    embed_grads = list(g_trunk)
-    for i in sorted(model.view_heads):
-        embed_grads.extend(g_view[i])
-    for key in sorted(model.pair_heads):
-        embed_grads.extend(g_pair[key])
-    return sim_total / b, adv_total / b, embed_grads, g_cls
+    return sim_total / b, adv_total / b, g_embed, g_cls
 
 
 def minimax_epoch(model, dataset, pairs, batch_size, t_steps, rng):
     """One pass over the inconsistent pairs.
 
     Per batch: t_steps embedder updates descending alpha*L_sim - beta*L_adv,
-    then one classifier update ascending the same objective. Batches are a
-    seeded shuffle without replacement. Returns mean losses; a no-op when the
-    pair set is empty.
+    then one classifier update ascending the same objective, each a single
+    Adam call on one flat vector. Batches are a seeded shuffle without
+    replacement. Returns mean losses; a no-op when the pair set is empty.
     """
     if not pairs:
         return {"sim": 0.0, "adv": 0.0}
@@ -320,9 +310,11 @@ def minimax_epoch(model, dataset, pairs, batch_size, t_steps, rng):
                 raise NumericalError(
                     f"non-finite loss in batch starting at pair {start}"
                 )
-            adam_step(model.embed_opt, model.embedder_blocks(), embed_grads)
-        l_sim, l_adv, _, cls_grads = _batch_losses_and_grads(model, dataset, batch)
-        adam_step(model.cls_opt, model.classifier.blocks(), cls_grads)
+            adam_step(model.embed_opt, model.embed_params, embed_grads)
+        l_sim, l_adv, _, cls_grads = _batch_losses_and_grads(
+            model, dataset, batch, embedder=False
+        )
+        adam_step(model.cls_opt, model.classifier.params.flat, cls_grads)
         sim_vals.append(l_sim)
         adv_vals.append(l_adv)
     return {"sim": float(np.mean(sim_vals)), "adv": float(np.mean(adv_vals))}

@@ -108,17 +108,10 @@ def ae_loss_open(view_nets, x, z_common, n_views):
     r_z = z_i - z_common
     loss = float(((r_hat ** 2).sum()
                   + lam * ((r_tilde ** 2).sum() + (r_z ** 2).sum())) / b)
-    g_gen1, d_z = view_nets.generator.backward(cache_g1, 2.0 * r_hat / b)
-    g_gen2, _ = view_nets.generator.backward(cache_g2, 2.0 * lam * r_tilde / b)
-    g_gen = _add_params(g_gen1, g_gen2)
+    g_gen, d_z = view_nets.generator.backward(cache_g1, 2.0 * r_hat / b)
+    view_nets.generator.backward(cache_g2, 2.0 * lam * r_tilde / b, g_gen.flat)
     g_enc, _ = view_nets.encoder.backward(cache_e, d_z + 2.0 * lam * r_z / b)
     return loss, g_enc, g_gen
-
-
-def _add_params(a, b):
-    for x, y in zip(a.blocks(), b.blocks()):
-        x += y
-    return a
 
 
 def _log_d(view_nets, x):
@@ -147,13 +140,12 @@ def adversarial_losses(view_nets, x, fake):
     disc_value = float(np.log(p_real).mean() + np.log(1.0 - p_fake).mean())
     gen_value = float(np.log(1.0 - p_fake).mean())
     # descend -disc_value
-    g_real, _ = view_nets.discriminator.backward(
+    disc_grads, _ = view_nets.discriminator.backward(
         cache_real, -in_real / p_real / b_real
     )
-    g_fake, d_fake_in = view_nets.discriminator.backward(
-        cache_fake, in_fake / (1.0 - p_fake) / b_fake
+    view_nets.discriminator.backward(
+        cache_fake, in_fake / (1.0 - p_fake) / b_fake, disc_grads.flat
     )
-    disc_grads = _add_params(g_real, g_fake)
     # generator descends gen_value => gradient w.r.t. fake inputs
     _, d_fake_for_gen = view_nets.discriminator.backward(
         cache_fake, -in_fake / (1.0 - p_fake) / b_fake
@@ -249,8 +241,8 @@ def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
                 else:
                     loss, g_enc, g_gen = ae_loss_closed(vn, x)
                 _check_finite(loss, "reconstruction loss", epoch, n_batches)
-                adam_step(opt.encoder, vn.encoder.blocks(), g_enc.blocks())
-                adam_step(opt.generator, vn.generator.blocks(), g_gen.blocks())
+                adam_step(opt.encoder, vn.encoder.params.flat, g_enc.flat)
+                adam_step(opt.generator, vn.generator.params.flat, g_gen.flat)
                 ae_sums[i] += loss
 
                 # discriminator vs self-reconstruction, then generator step
@@ -258,10 +250,10 @@ def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
                 x_hat, cache_g = vn.generator.forward(z_i)
                 d_val, d_grads, g_val, d_fake = adversarial_losses(vn, x, x_hat)
                 _check_finite(d_val, "discriminator value", epoch, n_batches)
-                adam_step(opt.discriminator, vn.discriminator.blocks(),
-                          d_grads.blocks())
+                adam_step(opt.discriminator, vn.discriminator.params.flat,
+                          d_grads.flat)
                 g_gen_adv, _ = vn.generator.backward(cache_g, d_fake)
-                adam_step(opt.generator, vn.generator.blocks(), g_gen_adv.blocks())
+                adam_step(opt.generator, vn.generator.params.flat, g_gen_adv.flat)
                 disc_sums[i] += d_val
                 gen_sums[i] += g_val
 
@@ -276,11 +268,11 @@ def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
                         vn, x, x_tilde
                     )
                     _check_finite(d_val2, "discriminator value", epoch, n_batches)
-                    adam_step(opt.discriminator, vn.discriminator.blocks(),
-                              d_grads2.blocks())
+                    adam_step(opt.discriminator, vn.discriminator.params.flat,
+                              d_grads2.flat)
                     g_gen_adv2, _ = vn.generator.backward(cache_g2, d_fake2)
-                    adam_step(opt.generator, vn.generator.blocks(),
-                              g_gen_adv2.blocks())
+                    adam_step(opt.generator, vn.generator.params.flat,
+                              g_gen_adv2.flat)
                     disc_sums[i] += d_val2
                     gen_sums[i] += g_val2
 
@@ -353,19 +345,29 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(model, path):
-    """Restore parameters into a structurally identical model."""
+    """Restore parameters into a structurally identical model.
+
+    Every array is shape-checked before any is copied, and the copies go into
+    the existing parameter views, so they stay part of each net's flat vector.
+    """
     data = np.load(path)
     if int(data["version"][0]) != CHECKPOINT_VERSION:
         raise ShapeError(f"unsupported checkpoint version {data['version'][0]}")
     if int(data["n_views"][0]) != model.n_views:
         raise ShapeError("checkpoint view count does not match the model")
+    if int(data["latent_width"][0]) != model.latent_width:
+        raise ShapeError("checkpoint latent width does not match the model")
+    copies = []
     for i, vn in enumerate(model.views):
         for name, net in (("enc", vn.encoder), ("gen", vn.generator),
                           ("disc", vn.discriminator)):
-            for l in range(net.spec.n_layers):
-                w = data[f"v{i}_{name}_w{l}"]
-                b = data[f"v{i}_{name}_b{l}"]
-                if w.shape != net.params.weights[l].shape:
-                    raise ShapeError(f"checkpoint shape mismatch at v{i}_{name}_w{l}")
-                net.params.weights[l] = w
-                net.params.biases[l] = b
+            for l, (w, b) in enumerate(zip(net.params.weights, net.params.biases)):
+                for key, view in ((f"v{i}_{name}_w{l}", w), (f"v{i}_{name}_b{l}", b)):
+                    saved = data[key]
+                    if saved.shape != view.shape:
+                        raise ShapeError(
+                            f"checkpoint shape mismatch at {key}: "
+                            f"{saved.shape} vs {view.shape}")
+                    copies.append((view, saved))
+    for view, saved in copies:
+        view[...] = saved

@@ -92,13 +92,17 @@ class ExperimentConfig:
         return tuple(int(w) for w in str(self.network["hidden"]).split(","))
 
 
-def _coerce(value, default):
-    if isinstance(default, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
+def _coerce(value, default, name):
+    try:
+        if isinstance(default, bool):
+            return value.lower() in ("1", "true", "yes")
+        if isinstance(default, int):
+            return int(value)
+        if isinstance(default, float):
+            return float(value)
+    except ValueError:
+        raise ConfigError(
+            f"{name} must be {type(default).__name__}, got {value!r}") from None
     return value
 
 
@@ -121,12 +125,13 @@ def load_config(path, overrides=None):
         for key, raw in parser.items(section):
             if key not in _DEFAULTS[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            values[section][key] = _coerce(raw, _DEFAULTS[section][key])
+            values[section][key] = _coerce(raw, _DEFAULTS[section][key],
+                                           f"{section}.{key}")
     for dotted, value in (overrides or {}).items():
         section, key = dotted.split(".", 1)
         if section not in _DEFAULTS or key not in _DEFAULTS[section]:
             raise ConfigError(f"unknown override {dotted!r}")
-        values[section][key] = _coerce(str(value), _DEFAULTS[section][key]) \
+        values[section][key] = _coerce(str(value), _DEFAULTS[section][key], dotted) \
             if _DEFAULTS[section][key] is not None else value
     exp = values["experiment"]
     if not exp["manifest"]:
@@ -153,9 +158,24 @@ def load_config(path, overrides=None):
     )
     if not 0.0 < cfg.mu < 1.0:
         raise ConfigError(f"data.mu must be in (0, 1), got {cfg.mu}")
-    for key in ("epochs", "batch_size", "latent_width"):
-        if int(cfg.network[key]) < 1:
-            raise ConfigError(f"network.{key} must be >= 1")
+    for section, key in (("network", "epochs"), ("network", "batch_size"),
+                         ("network", "latent_width"), ("reconcile", "batch_size"),
+                         ("reconcile", "t_steps"), ("clustering", "restarts"),
+                         ("clustering", "max_iter")):
+        if int(values[section][key]) < 1:
+            raise ConfigError(
+                f"{section}.{key} must be >= 1, got {values[section][key]}")
+    try:
+        widths = cfg.hidden_widths
+    except ValueError:
+        widths = (0,)
+    if min(widths) < 1:
+        raise ConfigError("network.hidden must be comma-separated widths >= 1, "
+                          f"got {cfg.network['hidden']!r}")
+    for key in ("initial_fraction", "full_inclusion_fraction"):
+        if not 0.0 < float(cfg.network[key]) <= 1.0:
+            raise ConfigError(
+                f"network.{key} must be in (0, 1], got {cfg.network[key]}")
     return cfg
 
 

@@ -286,16 +286,17 @@ def test_criterion_3_gradient_checks():
 
             _, _, embed_grads, cls_grads = _batch_losses_and_grads(
                 model, ds, batch)
-            _check_close(embed_grads,
-                         numerical_grads(j_value, model.embedder_blocks()))
+            _check_close([embed_grads],
+                         numerical_grads(j_value, [model.embed_params]))
 
             # classifier gradients of the (weighted) classification loss
             def adv_value():
                 _, a, _, _ = _batch_losses_and_grads(model, ds, batch)
                 return beta * a
 
-            _check_close(cls_grads,
-                         numerical_grads(adv_value, model.classifier.blocks()))
+            _check_close([cls_grads],
+                         numerical_grads(adv_value,
+                                         [model.classifier.params.flat]))
 
         for point in range(10):
             vn, x, z, fake = _gan_setup(400 + point)

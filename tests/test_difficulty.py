@@ -130,10 +130,10 @@ def test_minimax_lr_zero_keeps_parameters():
     ds, _, _, pairs = toy_inconsistent_setup()
     assert pairs, "toy setup must produce inconsistent pairs"
     model = build_reconciler([6, 4], np.random.default_rng(0), learning_rate=0.0)
-    before = [b.copy() for b in model.embedder_blocks() + model.classifier.blocks()]
+    before = [model.embed_params.copy(), model.classifier.params.flat.copy()]
     minimax_epoch(model, ds, pairs, batch_size=8, t_steps=2,
                   rng=np.random.default_rng(1))
-    after = model.embedder_blocks() + model.classifier.blocks()
+    after = [model.embed_params, model.classifier.params.flat]
     for a, b in zip(after, before):
         np.testing.assert_array_equal(a, b)
 
@@ -146,19 +146,19 @@ def test_minimax_first_order_directions():
     batch = pairs[:8]
 
     _, _, embed_grads, cls_grads = _batch_losses_and_grads(model, ds, batch)
-    before_e = [b.copy() for b in model.embedder_blocks()]
-    before_c = [b.copy() for b in model.classifier.blocks()]
+    before_e = model.embed_params.copy()
+    before_c = model.classifier.params.flat.copy()
     minimax_epoch(model, ds, batch, batch_size=8, t_steps=1,
                   rng=np.random.default_rng(1))
     # direction actually taken by the embedder step
-    delta_e = [a - b for a, b in zip(model.embedder_blocks(), before_e)]
-    dir_deriv_e = sum(float((g * d).sum()) for g, d in zip(embed_grads, delta_e))
+    delta_e = model.embed_params - before_e
+    dir_deriv_e = float((embed_grads * delta_e).sum())
     assert dir_deriv_e <= 0.0  # embedder descends J
 
     # the classifier step descends beta*L_adv, which ascends J
     # (J depends on the classifier only through -beta*L_adv)
-    delta_c = [a - b for a, b in zip(model.classifier.blocks(), before_c)]
-    dir_deriv_c = sum(float((g * d).sum()) for g, d in zip(cls_grads, delta_c))
+    delta_c = model.classifier.params.flat - before_c
+    dir_deriv_c = float((cls_grads * delta_c).sum())
     assert dir_deriv_c <= 0.0
 
 
@@ -223,3 +223,30 @@ def test_export_difficulty(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "sample_index,view,region,raw_label,resolved_label"
     assert len(lines) == 1 + 2 * ds.n
+
+
+def test_embedder_nets_share_one_flat_vector():
+    model = build_reconciler([4, 3, 5], np.random.default_rng(0),
+                             embed_width=6, head_width=7)
+    nets = {"trunk": model.trunk, **model.view_heads, **model.pair_heads}
+    assert len(nets) == 1 + 3 + 3 and nets.keys() == model.embed_slices.keys()
+    covered = np.zeros(model.embed_params.size, dtype=int)
+    for key, net in nets.items():
+        assert net.params.flat.base is model.embed_params
+        for block in net.blocks():
+            assert np.shares_memory(block, model.embed_params)
+        sl = model.embed_slices[key]
+        model.embed_params[sl] = np.arange(net.spec.size)
+        np.testing.assert_array_equal(net.params.flat, np.arange(net.spec.size))
+        covered[sl] += 1
+    np.testing.assert_array_equal(covered, 1)   # the slices tile the vector
+    assert not np.shares_memory(model.classifier.params.flat, model.embed_params)
+
+
+def test_classifier_pass_matches_full_pass():
+    ds, _, _, pairs = toy_inconsistent_setup()
+    model = build_reconciler([6, 4], np.random.default_rng(0))
+    full = _batch_losses_and_grads(model, ds, pairs[:8])
+    cls_only = _batch_losses_and_grads(model, ds, pairs[:8], embedder=False)
+    assert cls_only[:2] == full[:2] and cls_only[2] is None
+    assert cls_only[3].tobytes() == full[3].tobytes()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mvclust.errors import NumericalError, ShapeError
-from mvclust.nets import (AdamState, MlpParams, MlpSpec, adam_step, init_mlp,
-                          make_net, mlp_backward, mlp_forward)
+from mvclust.nets import (ADAM_CHUNK, AdamState, MlpParams, MlpSpec, adam_step,
+                          init_mlp, make_net, mlp_backward, mlp_forward)
 
 from conftest import assert_grads_close, numerical_grads, rel_err
 
@@ -112,37 +112,150 @@ def test_stale_cache_rejected(rng):
 
 
 def test_adam_zero_gradient_keeps_params(rng):
-    params = [rng.normal(size=(3, 2)), rng.normal(size=2)]
-    before = [p.copy() for p in params]
+    params = rng.normal(size=8)
+    before = params.copy()
     state = AdamState(learning_rate=0.1)
-    adam_step(state, params, [np.zeros_like(p) for p in params])
+    adam_step(state, params, np.zeros_like(params))
     assert state.step == 1
-    for p, b in zip(params, before):
-        np.testing.assert_array_equal(p, b)
+    np.testing.assert_array_equal(params, before)
 
 
 def test_adam_single_step_magnitude():
     # bias-corrected moments cancel on the first step: |update| ~ lr
     lr = 0.01
-    params = [np.array([1.0])]
+    params = np.array([1.0])
     state = AdamState(learning_rate=lr)
-    adam_step(state, params, [np.array([2.5])])
-    assert abs((1.0 - params[0][0]) - lr) < 1e-6
+    adam_step(state, params, np.array([2.5]))
+    assert abs((1.0 - params[0]) - lr) < 1e-6
 
 
 def test_adam_converges_on_quadratic():
     w = np.array([0.0])
     state = AdamState(learning_rate=0.05)
     for _ in range(200):
-        adam_step(state, [w], [2.0 * (w - 3.0)])
+        adam_step(state, w, 2.0 * (w - 3.0))
     assert abs(w[0] - 3.0) < 0.1
 
 
 def test_adam_rejects_non_finite_gradient():
     state = AdamState()
-    with pytest.raises(NumericalError, match="block 1"):
-        adam_step(state, [np.zeros(2), np.zeros(2)],
-                  [np.zeros(2), np.array([1.0, np.nan])])
+    params = np.zeros(4)
+    with pytest.raises(NumericalError, match="index 3"):
+        adam_step(state, params, np.array([0.0, 0.0, 1.0, np.nan]))
+    assert state.step == 0 and state.m is None
+    np.testing.assert_array_equal(params, 0.0)
+
+
+def test_adam_rejects_shape_mismatch():
+    with pytest.raises(ShapeError):
+        adam_step(AdamState(), np.zeros(4), np.zeros(3))
+    with pytest.raises(ShapeError):
+        adam_step(AdamState(), np.zeros((2, 2)), np.zeros((2, 2)))
+    state = AdamState()
+    adam_step(state, np.zeros(4), np.ones(4))
+    with pytest.raises(ShapeError):
+        adam_step(state, np.zeros(5), np.ones(5))
+
+
+def _reference_adam(state, params, grads):
+    # the update applied one parameter block at a time
+    if not state["m"]:
+        state["m"] = [np.zeros_like(p) for p in params]
+        state["v"] = [np.zeros_like(p) for p in params]
+    state["step"] += 1
+    t = state["step"]
+    b1, b2, lr, eps = 0.5, 0.99, 1e-2, 1e-8
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adam_on_flat_vector_matches_per_block_reference_bytewise():
+    net = make_net([5, 7, 3, 2], ["relu", "tanh", "identity"],
+                   np.random.default_rng(4))
+    ref = net.params.copy()
+    state = AdamState(learning_rate=1e-2)
+    ref_state = {"step": 0, "m": None, "v": None}
+    x = np.random.default_rng(5).normal(size=(9, 5))
+    y = np.random.default_rng(6).normal(size=(9, 2))
+    for _ in range(5):
+        out, cache = net.forward(x)
+        grads, _ = net.backward(cache, out - y)
+        adam_step(state, net.params.flat, grads.flat)
+        _reference_adam(ref_state, ref.blocks(), grads.blocks())
+        assert net.params.flat.tobytes() == ref.flat.tobytes()
+    assert net.params.flat.tobytes() != make_net(
+        [5, 7, 3, 2], ["relu", "tanh", "identity"],
+        np.random.default_rng(4)).params.flat.tobytes()
+
+
+def test_adam_over_several_chunks_matches_per_block_reference_bytewise():
+    rng = np.random.default_rng(8)
+    size = 2 * ADAM_CHUNK + 7
+    params = rng.normal(size=size)
+    ref = [params[:1000].copy(), params[1000:].copy()]
+    state = AdamState(learning_rate=1e-2)
+    ref_state = {"step": 0, "m": None, "v": None}
+    for _ in range(5):
+        grads = rng.normal(size=size)
+        adam_step(state, params, grads)
+        _reference_adam(ref_state, ref, [grads[:1000], grads[1000:]])
+    assert params.tobytes() == np.concatenate(ref).tobytes()
+
+
+def test_blocks_are_views_of_the_flat_vector():
+    spec = MlpSpec((4, 3, 2), ("relu", "identity"))
+    params = init_mlp(spec, np.random.default_rng(0))
+    assert params.flat.shape == (spec.size,) == (4 * 3 + 3 + 3 * 2 + 2,)
+    blocks = params.blocks()
+    assert [b.shape for b in blocks] == [(4, 3), (3,), (3, 2), (2,)]
+    for block in blocks:
+        assert np.shares_memory(block, params.flat)
+    params.flat[:] = np.arange(spec.size)
+    np.testing.assert_array_equal(params.weights[0].ravel(), np.arange(12))
+    np.testing.assert_array_equal(params.biases[1], [21.0, 22.0])
+    # packing given arrays copies them into one fresh vector
+    w, b = np.eye(2), np.ones(2)
+    packed = MlpParams([w], [b])
+    np.testing.assert_array_equal(packed.flat, [1.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    assert not np.shares_memory(packed.flat, w)
+    assert np.shares_memory(packed.weights[0], packed.flat)
+
+
+def test_backward_accumulates_into_a_given_buffer(rng):
+    net = make_net([3, 4, 2], ["tanh", "identity"], rng)
+    x = rng.normal(size=(5, 3))
+    out, cache = net.forward(x)
+    once, _ = net.backward(cache, out)
+    buffer = np.zeros(net.spec.size + 4)
+    target = buffer[2:-2]
+    grads, _ = net.backward(cache, out, target)
+    net.backward(cache, out, target)
+    assert np.shares_memory(grads.flat, buffer)
+    np.testing.assert_allclose(target, 2.0 * once.flat, rtol=1e-15)
+    np.testing.assert_array_equal(buffer[:2], 0.0)
+    np.testing.assert_array_equal(buffer[-2:], 0.0)
+    with pytest.raises(ShapeError):
+        net.backward(cache, out, np.zeros(net.spec.size - 1))
+
+
+def test_params_copy_is_independent(rng):
+    net = make_net([3, 4, 2], ["relu", "identity"], rng)
+    dup = net.params.copy()
+    assert not np.shares_memory(dup.flat, net.params.flat)
+    for block in dup.blocks():
+        assert np.shares_memory(block, dup.flat)
+    before = net.params.flat.copy()
+    dup.flat += 1.0
+    dup.biases[1][...] = 7.0
+    np.testing.assert_array_equal(net.params.flat, before)
+    np.testing.assert_array_equal(dup.weights[0], net.params.weights[0] + 1.0)
+    np.testing.assert_array_equal(dup.flat[-2:], 7.0)
 
 
 def test_seeded_init_is_deterministic():
@@ -161,7 +274,7 @@ def test_training_trajectory_deterministic(rng):
         for _ in range(20):
             out, cache = net.forward(x)
             grads, _ = net.backward(cache, 2.0 * (out - y) / len(x))
-            adam_step(state, net.blocks(), grads.blocks())
+            adam_step(state, net.params.flat, grads.flat)
         return [b.copy() for b in net.blocks()]
 
     for a, b in zip(trajectory(5), trajectory(5)):

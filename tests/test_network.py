@@ -3,7 +3,7 @@ import pytest
 
 from mvclust.data import MultiViewDataset, make_synthetic, load_manifest
 from mvclust.errors import ShapeError
-from mvclust.nets import MlpParams, MlpSpec, Net
+from mvclust.nets import AdamState, MlpParams, MlpSpec, Net, adam_step
 from mvclust.network import (GOLDEN_SECTION, ViewNets, adversarial_losses,
                              ae_loss_closed, ae_loss_open, build_model,
                              fuse_subspace, gate, load_checkpoint,
@@ -246,3 +246,36 @@ def test_checkpoint_roundtrip(tmp_path, rng):
                              (vn_a.discriminator, vn_b.discriminator)):
             for w1, w2 in zip(net_a.params.weights, net_b.params.weights):
                 np.testing.assert_array_equal(w1, w2)
+
+
+def test_checkpoint_rejects_bias_shape_mismatch(tmp_path, rng):
+    model = build_model([5, 3], 4, rng, hidden=(8,))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(model, str(path))
+    arrays = dict(np.load(path))
+    arrays["v1_gen_b0"] = np.zeros(9)   # weights keep their shapes
+    np.savez(path, **arrays)
+    other = build_model([5, 3], 4, np.random.default_rng(99), hidden=(8,))
+    before = [vn.generator.params.flat.copy() for vn in other.views]
+    with pytest.raises(ShapeError, match="v1_gen_b0"):
+        load_checkpoint(other, str(path))
+    # nothing was copied before the mismatch was found
+    for vn, flat in zip(other.views, before):
+        np.testing.assert_array_equal(vn.generator.params.flat, flat)
+
+
+def test_checkpoint_loads_into_the_flat_vectors(tmp_path, rng):
+    model = build_model([5, 3], 4, rng, hidden=(8,))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(model, str(path))
+    other = build_model([5, 3], 4, np.random.default_rng(99), hidden=(8,))
+    load_checkpoint(other, str(path))
+    net, source = other.views[0].encoder, model.views[0].encoder
+    for block in net.blocks():
+        assert np.shares_memory(block, net.params.flat)
+    np.testing.assert_array_equal(net.params.flat, source.params.flat)
+    loaded = [b.copy() for b in net.blocks()]
+    adam_step(AdamState(learning_rate=0.1), net.params.flat,
+              np.ones(net.spec.size))
+    for block, was in zip(net.blocks(), loaded):
+        np.testing.assert_allclose(block, was - 0.1, rtol=0, atol=1e-8)

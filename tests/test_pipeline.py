@@ -191,12 +191,34 @@ def test_cli_export_and_eval(tmp_path, capsys):
     assert "1.0000" in capsys.readouterr().out
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # config error: missing config file
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
     # config error: bad variant override
     cfg = small_config(tmp_path)
     assert main(["run", "--config", cfg, "--variant", "BOGUS"]) == 2
+    # config errors: out-of-range or unreadable values, each reported in one
+    # line before any stage runs
+    for section, key, value in (
+        ("reconcile", "batch_size", "0"),
+        ("reconcile", "t_steps", "0"),
+        ("clustering", "restarts", "0"),
+        ("clustering", "max_iter", "0"),
+        ("clustering", "max_iter", "-3"),
+        ("network", "hidden", "64,,32"),
+        ("network", "initial_fraction", "0"),
+        ("network", "full_inclusion_fraction", "1.5"),
+        ("network", "epochs", "ten"),
+    ):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[experiment]\nmanifest = {load_config(cfg).manifest}\n"
+                       f"out = {tmp_path / 'out'}\n[{section}]\n{key} = {value}\n")
+        capsys.readouterr()
+        assert main(["run", "--config", str(bad)]) == 2, (section, key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{section}.{key}" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
     # data error: export from a directory with no artifacts
     assert main(["export", "--run-dir", str(tmp_path)]) == 3
     # data error: unreadable label file for eval
