@@ -8,12 +8,11 @@ common subspace, and k-means with ACC/NMI/Purity evaluation.
 
 from .cluster import ClusterModel, MetricReport, accuracy, evaluate, kmeans, nmi, purity
 from .data import (MultiViewDataset, NeighborPartition, build_partition,
-                   load_manifest, load_views, make_synthetic, normalize_view,
-                   pairwise_distances)
+                   load_manifest, load_views, make_synthetic, normalize_view)
 from .difficulty import (DifficultyAssignment, ReconcilerModel, adv_loss,
                          assign_difficulty, assignment_from_partitions,
-                         build_reconciler, collect_inconsistent, fuse_pair,
-                         resolve_labels, sim_loss, train_reconciler)
+                         build_reconciler, collect_inconsistent, resolve_labels,
+                         sim_loss, train_reconciler)
 from .errors import (ConfigError, DataError, MvclustError, NumericalError,
                      ShapeError)
 from .nets import (AdamState, MlpParams, MlpSpec, adam_step, init_mlp,

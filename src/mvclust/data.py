@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError
 
 
 @dataclass
@@ -138,20 +138,6 @@ def normalize_view(view, mode="zscore"):
     if mode == "none":
         return view.copy()
     raise DataError(f"unknown normalization mode {mode!r}")
-
-
-def pairwise_distances(view):
-    """Symmetric n x n Euclidean distance matrix with an exact zero diagonal."""
-    view = np.asarray(view, dtype=float)
-    if view.size == 0:
-        raise ShapeError("empty view")
-    sq = (view * view).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (view @ view.T)
-    np.maximum(d2, 0.0, out=d2)
-    d = np.sqrt(d2)
-    d = 0.5 * (d + d.T)
-    np.fill_diagonal(d, 0.0)
-    return d
 
 
 def build_partition(dataset, view_index, anchor_index, k_neighbors):

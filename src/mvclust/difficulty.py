@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError, ShapeError
-from .nets import (PROB_EPS, AdamState, MlpSpec, Net, adam_step, clamp_prob,
-                   init_mlp, make_net)
+from .nets import (AdamState, MlpSpec, Net, adam_step, clamp_prob,
+                   clamp_prob_masked, init_mlp, make_net)
 
 REGION_POSITIVE = "P"
 REGION_NEGATIVE = "N"
@@ -97,10 +97,24 @@ def collect_inconsistent(labels):
     return pairs
 
 
-def fuse_pair(x_i, x_j):
-    """Fused representation of one cross-view pair: plain concatenation."""
-    return np.concatenate([np.asarray(x_i, dtype=float).ravel(),
-                           np.asarray(x_j, dtype=float).ravel()])
+def _log_terms(f_i, f_j, ell):
+    """-ell * (sum log f_i + sum log(1 - f_j)) over clamped probabilities,
+    with its gradients w.r.t. the unclamped f_i and f_j (zero where clamped)."""
+    p_i, in_i = clamp_prob_masked(f_i)
+    p_j, in_j = clamp_prob_masked(f_j)
+    value = -ell * (np.log(p_i).sum() + np.log(1.0 - p_j).sum())
+    return value, -ell / p_i * in_i, ell / (1.0 - p_j) * in_j
+
+
+def _hinge(e_i, e_fused, e_j, margin):
+    """Triplet hinge max(0, margin + |e_f - e_i|^2 - |e_f - e_j|^2) summed
+    over rows, with its gradients w.r.t. e_i, e_fused and e_j."""
+    diff_i = e_fused - e_i
+    diff_j = e_fused - e_j
+    s = margin + (diff_i ** 2).sum(axis=1) - (diff_j ** 2).sum(axis=1)
+    active = (s > 0.0).astype(float)[:, None]
+    return (np.maximum(0.0, s).sum(), active * (-2.0) * diff_i,
+            active * 2.0 * (diff_i - diff_j), active * 2.0 * diff_j)
 
 
 def adv_loss(f_i, f_j, ell):
@@ -114,14 +128,12 @@ def adv_loss(f_i, f_j, ell):
         raise ShapeError("classifier output vectors differ in length")
     if f_i.size == 0:
         return 0.0
-    f_i = clamp_prob(f_i)
-    f_j = clamp_prob(f_j)
-    return float(-np.mean(ell * (np.log(f_i) + np.log(1.0 - f_j))))
+    return float(_log_terms(f_i, f_j, ell)[0] / f_i.size)
 
 
 def sim_loss(e_i, e_fused, e_j, margin):
     """Triplet hinge: the fused embedding should sit no closer to the first
-    member than margin-past-the-second."""
+    member than margin-past-the-second. Mean over rows."""
     e_i = np.atleast_2d(np.asarray(e_i, dtype=float))
     e_fused = np.atleast_2d(np.asarray(e_fused, dtype=float))
     e_j = np.atleast_2d(np.asarray(e_j, dtype=float))
@@ -129,9 +141,7 @@ def sim_loss(e_i, e_fused, e_j, margin):
         raise ShapeError("triplet embeddings must share one shape")
     if margin < 0:
         raise ShapeError(f"margin must be >= 0, got {margin}")
-    d_i = ((e_fused - e_i) ** 2).sum(axis=1)
-    d_j = ((e_fused - e_j) ** 2).sum(axis=1)
-    return float(np.mean(np.maximum(0.0, margin + d_i - d_j)))
+    return float(_hinge(e_i, e_fused, e_j, margin)[0] / e_i.shape[0])
 
 
 @dataclass
@@ -211,11 +221,18 @@ def build_reconciler(view_dims, rng, embed_width=32, head_width=64,
     )
 
 
-def _group_pairs(batch):
+def _pair_groups(dataset, pairs):
+    """For each view pair (i, j), in sorted order: the pair's sample indices,
+    in the order ``pairs`` lists them, and their rows of view i, of view j and
+    fused (the two concatenated)."""
     groups = {}
-    for k, i, j in batch:
+    for k, i, j in pairs:
         groups.setdefault((i, j), []).append(k)
-    return groups
+    for (i, j), ks in sorted(groups.items()):
+        ks = np.array(ks)
+        x_i = dataset.views[i][ks]
+        x_j = dataset.views[j][ks]
+        yield (i, j), ks, x_i, x_j, np.hstack([x_i, x_j])
 
 
 def _batch_losses_and_grads(model, dataset, batch, embedder=True):
@@ -235,35 +252,17 @@ def _batch_losses_and_grads(model, dataset, batch, embedder=True):
     alpha, beta, ell, m = (model.sim_weight, model.adv_weight,
                            model.pseudo_label, model.margin)
 
-    for (i, j), ks in sorted(_group_pairs(batch).items()):
-        ks = np.array(ks)
-        x_i = dataset.views[i][ks]
-        x_j = dataset.views[j][ks]
-        x_f = np.hstack([x_i, x_j])
+    for (i, j), _, x_i, x_j, x_f in _pair_groups(dataset, batch):
         e_i, cache_i = model.embed_view(x_i, i)
         e_j, cache_j = model.embed_view(x_j, j)
         e_f, cache_f = model.embed_pair(x_f, (i, j))
+        sim, dsim_ei, dsim_ef, dsim_ej = _hinge(e_i, e_f, e_j, m)
+        sim_total += sim
 
-        # hinge terms
-        diff_i = e_f - e_i
-        diff_j = e_f - e_j
-        s = m + (diff_i ** 2).sum(axis=1) - (diff_j ** 2).sum(axis=1)
-        active = (s > 0.0).astype(float)[:, None]
-        sim_total += np.maximum(0.0, s).sum()
-        dsim_ef = active * 2.0 * (diff_i - diff_j)
-        dsim_ei = active * (-2.0) * diff_i
-        dsim_ej = active * 2.0 * diff_j
-
-        # classifier terms (clamped before logs; clamped region has zero grad)
-        p_i_raw, c_cls_i = model.classifier.forward(e_i)
-        p_j_raw, c_cls_j = model.classifier.forward(e_j)
-        p_i = clamp_prob(p_i_raw)
-        p_j = clamp_prob(p_j_raw)
-        in_i = ((p_i_raw > PROB_EPS) & (p_i_raw < 1.0 - PROB_EPS)).astype(float)
-        in_j = ((p_j_raw > PROB_EPS) & (p_j_raw < 1.0 - PROB_EPS)).astype(float)
-        adv_total += -ell * (np.log(p_i).sum() + np.log(1.0 - p_j).sum())
-        dadv_pi = -ell / p_i * in_i
-        dadv_pj = ell / (1.0 - p_j) * in_j
+        p_i, c_cls_i = model.classifier.forward(e_i)
+        p_j, c_cls_j = model.classifier.forward(e_j)
+        adv, dadv_pi, dadv_pj = _log_terms(p_i, p_j, ell)
+        adv_total += adv
         gc_i, dadv_ei = model.classifier.backward(c_cls_i, dadv_pi)
         gc_j, dadv_ej = model.classifier.backward(c_cls_j, dadv_pj)
 
@@ -330,13 +329,6 @@ def train_reconciler(model, dataset, pairs, epochs, batch_size=32, t_steps=3,
     return history
 
 
-def _pair_verdict(model, dataset, k, i, j):
-    x_f = fuse_pair(dataset.views[i][k], dataset.views[j][k])
-    e_f, _ = model.embed_pair(x_f, (i, j))
-    p, _ = model.classify(e_f)
-    return float(p[0, 0])
-
-
 def resolve_labels(model, dataset, assignment):
     """Replace every cross-view disagreement with the classifier's verdict on
     the fused pair (>= 0.5 means difficult). Returns a consistent assignment.
@@ -344,20 +336,18 @@ def resolve_labels(model, dataset, assignment):
     resolved = assignment.copy()
     labels = resolved.labels
     pairs = collect_inconsistent(labels)
-    verdicts = {}
-    for k, i, j in pairs:
-        p = _pair_verdict(model, dataset, k, i, j)
-        verdicts[(k, i, j)] = p
-        label = 1 if p >= 0.5 else 0
-        labels[i, k] = label
-        labels[j, k] = label
-    # With 3+ views, sequential pair verdicts can leave a sample mixed;
-    # fall back to the mean verdict over all its fused pairs.
-    leftover = collect_inconsistent(labels)
-    for k in sorted({k for k, _, _ in leftover}):
-        ps = [p for (kk, _, _), p in verdicts.items() if kk == k]
-        label = 1 if np.mean(ps) >= 0.5 else 0
-        labels[:, k] = label
+    verdicts = {}   # sample -> verdicts on its fused pairs, in view-pair order
+    for (i, j), ks, _, _, x_f in _pair_groups(dataset, pairs):
+        e_f, _ = model.embed_pair(x_f, (i, j))
+        p, _ = model.classify(e_f)
+        p = p[:, 0]
+        labels[i, ks] = labels[j, ks] = p >= 0.5
+        for k, p_k in zip(ks.tolist(), p.tolist()):
+            verdicts.setdefault(k, []).append(p_k)
+    # With 3+ views, the pair verdicts, written in view-pair order, can leave
+    # a sample mixed; fall back to the mean verdict over all its fused pairs.
+    for k in sorted({k for k, _, _ in collect_inconsistent(labels)}):
+        labels[:, k] = 1 if np.mean(verdicts[k]) >= 0.5 else 0
     return resolved
 
 
@@ -366,12 +356,10 @@ def classifier_agreement_rate(model, dataset, pairs):
     if not pairs:
         return 1.0
     agree = 0
-    for k, i, j in pairs:
-        e_i, _ = model.embed_view(dataset.views[i][k:k + 1], i)
-        e_j, _ = model.embed_view(dataset.views[j][k:k + 1], j)
-        p_i, _ = model.classify(e_i)
-        p_j, _ = model.classify(e_j)
-        agree += int((p_i[0, 0] >= 0.5) == (p_j[0, 0] >= 0.5))
+    for (i, j), _, x_i, x_j, _ in _pair_groups(dataset, pairs):
+        p_i, _ = model.classify(model.embed_view(x_i, i)[0])
+        p_j, _ = model.classify(model.embed_view(x_j, j)[0])
+        agree += int(((p_i >= 0.5) == (p_j >= 0.5)).sum())
     return agree / len(pairs)
 
 
@@ -381,14 +369,13 @@ def similarity_direction_rate(model, dataset, pairs):
     if not pairs:
         return 0.0
     hits = 0
-    for k, i, j in pairs:
-        x_f = fuse_pair(dataset.views[i][k], dataset.views[j][k])
+    for (i, j), _, x_i, x_j, x_f in _pair_groups(dataset, pairs):
         e_f, _ = model.embed_pair(x_f, (i, j))
-        e_i, _ = model.embed_view(dataset.views[i][k:k + 1], i)
-        e_j, _ = model.embed_view(dataset.views[j][k:k + 1], j)
-        d_i = float(((e_f - e_i) ** 2).sum())
-        d_j = float(((e_f - e_j) ** 2).sum())
-        hits += int(d_i < d_j)
+        e_i, _ = model.embed_view(x_i, i)
+        e_j, _ = model.embed_view(x_j, j)
+        d_i = ((e_f - e_i) ** 2).sum(axis=1)
+        d_j = ((e_f - e_j) ** 2).sum(axis=1)
+        hits += int((d_i < d_j).sum())
     return hits / len(pairs)
 
 

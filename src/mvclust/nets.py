@@ -210,6 +210,12 @@ def clamp_prob(p):
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
+def clamp_prob_masked(p):
+    """Clamped probabilities and a float mask, 1 where ``p`` was already in
+    range: a clamped entry is constant in ``p``, so its gradient is zero."""
+    return clamp_prob(p), ((p > PROB_EPS) & (p < 1.0 - PROB_EPS)).astype(float)
+
+
 @dataclass
 class AdamState:
     """Adam moments of one parameter vector, allocated on the first step."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .nets import (PROB_EPS, AdamState, Net, adam_step, clamp_prob, make_net)
+from .nets import AdamState, Net, adam_step, clamp_prob_masked, make_net
 from .sampling import pace_value, selection_mask
 
 log = logging.getLogger(__name__)
@@ -116,9 +116,7 @@ def ae_loss_open(view_nets, x, z_common, n_views):
 
 def _log_d(view_nets, x):
     p_raw, cache = view_nets.discriminator.forward(x)
-    p = clamp_prob(p_raw)
-    inside = ((p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)).astype(float)
-    return p, inside, cache
+    return (*clamp_prob_masked(p_raw), cache)
 
 
 def adversarial_losses(view_nets, x, fake):
@@ -187,6 +185,19 @@ def _check_finite(value, what, epoch, batch):
         raise NumericalError(f"non-finite {what} at epoch {epoch}, batch {batch}")
 
 
+def _gan_round(vn, opt, x, z, epoch, batch):
+    """One adversarial round of a view on real rows ``x`` against G(z): a
+    discriminator step, then a generator step. Returns (discriminator value,
+    generator value) as an array."""
+    fake, cache_g = vn.generator.forward(z)
+    d_val, d_grads, g_val, d_fake = adversarial_losses(vn, x, fake)
+    _check_finite(d_val, "discriminator value", epoch, batch)
+    adam_step(opt.discriminator, vn.discriminator.params.flat, d_grads.flat)
+    g_gen, _ = vn.generator.backward(cache_g, d_fake)
+    adam_step(opt.generator, vn.generator.params.flat, g_gen.flat)
+    return np.array([d_val, g_val])
+
+
 def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
           learning_rate=1e-4, seed=0, force_gate_open=False, sigma=GOLDEN_SECTION,
           log_path=None):
@@ -224,8 +235,7 @@ def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
 
         order = rng.permutation(len(selected))
         ae_sums = np.zeros(n_views)
-        disc_sums = np.zeros(n_views)
-        gen_sums = np.zeros(n_views)
+        adv_sums = np.zeros((n_views, 2))   # discriminator value, generator value
         n_batches = 0
         for start in range(0, len(selected), batch_size):
             idx = selected[order[start:start + batch_size]]
@@ -245,36 +255,17 @@ def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
                 adam_step(opt.generator, vn.generator.params.flat, g_gen.flat)
                 ae_sums[i] += loss
 
-                # discriminator vs self-reconstruction, then generator step
-                z_i, _ = vn.encoder.forward(x)
-                x_hat, cache_g = vn.generator.forward(z_i)
-                d_val, d_grads, g_val, d_fake = adversarial_losses(vn, x, x_hat)
-                _check_finite(d_val, "discriminator value", epoch, n_batches)
-                adam_step(opt.discriminator, vn.discriminator.params.flat,
-                          d_grads.flat)
-                g_gen_adv, _ = vn.generator.backward(cache_g, d_fake)
-                adam_step(opt.generator, vn.generator.params.flat, g_gen_adv.flat)
-                disc_sums[i] += d_val
-                gen_sums[i] += g_val
-
+                # discriminator vs self-reconstruction; once the gate is
+                # open, refresh the fused rows for this batch and play the
+                # common-subspace round as well
+                adv_sums[i] += _gan_round(vn, opt, x, vn.encoder.forward(x)[0],
+                                          epoch, n_batches)
                 if gate_open:
-                    # refresh the fused rows for this batch, then play the
-                    # common-subspace adversarial round
                     z_batch = [model.views[v].encoder.forward(
                         dataset.views[v][idx])[0] for v in range(n_views)]
                     z_full[idx] = fuse_subspace(z_batch)
-                    x_tilde, cache_g2 = vn.generator.forward(z_full[idx])
-                    d_val2, d_grads2, g_val2, d_fake2 = adversarial_losses(
-                        vn, x, x_tilde
-                    )
-                    _check_finite(d_val2, "discriminator value", epoch, n_batches)
-                    adam_step(opt.discriminator, vn.discriminator.params.flat,
-                              d_grads2.flat)
-                    g_gen_adv2, _ = vn.generator.backward(cache_g2, d_fake2)
-                    adam_step(opt.generator, vn.generator.params.flat,
-                              g_gen_adv2.flat)
-                    disc_sums[i] += d_val2
-                    gen_sums[i] += g_val2
+                    adv_sums[i] += _gan_round(vn, opt, x, z_full[idx],
+                                              epoch, n_batches)
 
         denom = max(n_batches, 1)
         rows.append({
@@ -283,8 +274,8 @@ def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
             "mask_size": int(len(selected)),
             "gate": int(gate_open),
             "ae_loss": (ae_sums / denom).tolist(),
-            "disc_value": (disc_sums / denom).tolist(),
-            "gen_value": (gen_sums / denom).tolist(),
+            "disc_value": (adv_sums[:, 0] / denom).tolist(),
+            "gen_value": (adv_sums[:, 1] / denom).tolist(),
         })
 
     if gate_opened_epoch < 0:

@@ -94,8 +94,6 @@ class ExperimentConfig:
 
 def _coerce(value, default, name):
     try:
-        if isinstance(default, bool):
-            return value.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(value)
         if isinstance(default, float):
@@ -159,12 +157,16 @@ def load_config(path, overrides=None):
     if not 0.0 < cfg.mu < 1.0:
         raise ConfigError(f"data.mu must be in (0, 1), got {cfg.mu}")
     for section, key in (("network", "epochs"), ("network", "batch_size"),
-                         ("network", "latent_width"), ("reconcile", "batch_size"),
-                         ("reconcile", "t_steps"), ("clustering", "restarts"),
-                         ("clustering", "max_iter")):
+                         ("network", "latent_width"), ("reconcile", "epochs"),
+                         ("reconcile", "batch_size"), ("reconcile", "t_steps"),
+                         ("reconcile", "embed_width"), ("reconcile", "head_width"),
+                         ("clustering", "restarts"), ("clustering", "max_iter")):
         if int(values[section][key]) < 1:
             raise ConfigError(
                 f"{section}.{key} must be >= 1, got {values[section][key]}")
+    if not float(cfg.reconcile["margin"]) >= 0.0:
+        raise ConfigError(
+            f"reconcile.margin must be >= 0, got {cfg.reconcile['margin']}")
     try:
         widths = cfg.hidden_widths
     except ValueError:
@@ -211,10 +213,7 @@ def run(cfg):
     """Execute one experiment; writes reports into cfg.out and returns a RunReport."""
     started = time.time()
     os.makedirs(cfg.out, exist_ok=True)
-    try:
-        dataset = dat.load_manifest(cfg.manifest)
-    except DataError:
-        raise
+    dataset = dat.load_manifest(cfg.manifest)
     n = dataset.n
     n_views = dataset.n_views
     clusters = cfg.clusters

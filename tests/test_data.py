@@ -5,7 +5,7 @@ import pytest
 
 from mvclust.data import (MultiViewDataset, build_partition, load_manifest,
                           load_views, make_synthetic, normalize_view,
-                          pairwise_distances, read_manifest)
+                          read_manifest)
 from mvclust.errors import DataError
 
 from conftest import rel_err
@@ -108,30 +108,6 @@ def test_partition_anchor_out_of_range(rng):
     ds = MultiViewDataset([rng.normal(size=(5, 2))] * 2)
     with pytest.raises(DataError):
         build_partition(ds, 0, 5, 2)
-
-
-def test_pairwise_distances_identical_rows():
-    d = pairwise_distances(np.ones((4, 3)))
-    np.testing.assert_array_equal(d, 0.0)
-
-
-def test_pairwise_distances_hand_values():
-    d = pairwise_distances(np.array([[0.0], [3.0], [4.0]]))
-    np.testing.assert_allclose(d[0, 1], 3.0)
-    np.testing.assert_allclose(d[0, 2], 4.0)
-    np.testing.assert_allclose(d[1, 2], 1.0)
-
-
-def test_pairwise_distances_properties(rng):
-    x = rng.normal(size=(100, 5))
-    d = pairwise_distances(x)
-    assert np.all(np.diag(d) == 0.0)
-    assert np.max(np.abs(d - d.T)) < 1e-9
-    assert d.min() >= 0.0
-    # triangle inequality on a sample of triples
-    idx = rng.integers(0, 100, size=(200, 3))
-    for i, j, k in idx:
-        assert d[i, k] <= d[i, j] + d[j, k] + 1e-9
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -5,8 +5,9 @@ from mvclust.data import MultiViewDataset, NeighborPartition, build_partition
 from mvclust.difficulty import (ReconcilerModel, adv_loss, assign_difficulty,
                                 assignment_from_partitions, build_reconciler,
                                 classifier_agreement_rate, collect_inconsistent,
-                                export_difficulty, fuse_pair, minimax_epoch,
+                                export_difficulty, minimax_epoch,
                                 resolve_labels, sim_loss,
+                                similarity_direction_rate,
                                 _batch_losses_and_grads, train_reconciler)
 from mvclust.errors import DataError
 
@@ -84,14 +85,9 @@ def test_collect_inconsistent_three_views():
     assert (0, 0, 2) not in pairs
 
 
-def test_fuse_pair_concatenates():
-    np.testing.assert_array_equal(fuse_pair([1.0, 2.0], [3.0]), [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(fuse_pair(np.zeros(2), np.zeros(3)), np.zeros(5))
-
-
 def test_fused_head_lands_in_embedding_width(rng):
     model = build_reconciler([3, 5], rng, embed_width=8)
-    fused = fuse_pair(rng.normal(size=3), rng.normal(size=5))
+    fused = np.concatenate([rng.normal(size=3), rng.normal(size=5)])
     e, _ = model.embed_pair(fused, (0, 1))
     assert e.shape == (1, 8)
 
@@ -250,3 +246,96 @@ def test_classifier_pass_matches_full_pass():
     cls_only = _batch_losses_and_grads(model, ds, pairs[:8], embedder=False)
     assert cls_only[:2] == full[:2] and cls_only[2] is None
     assert cls_only[3].tobytes() == full[3].tobytes()
+
+
+# --- batched pair passes against one-pair-at-a-time references -----------------
+
+def _ref_embed(model, ds, k, i, j):
+    """Embeddings of sample k's view-i member, view-j member and fused pair,
+    one forward per net on that single pair."""
+    x_i, x_j = ds.views[i][k:k + 1], ds.views[j][k:k + 1]
+    e_i, _ = model.embed_view(x_i, i)
+    e_j, _ = model.embed_view(x_j, j)
+    e_f, _ = model.embed_pair(np.concatenate([x_i, x_j], axis=1), (i, j))
+    return e_i, e_f, e_j
+
+
+def _ref_resolve(model, ds, assignment):
+    """Labels written pair by pair in pair order, then the mean-verdict
+    fallback for samples left mixed. Returns (labels, fallback samples)."""
+    labels = assignment.labels.copy()
+    verdicts = []
+    for k, i, j in collect_inconsistent(labels):
+        p, _ = model.classify(_ref_embed(model, ds, k, i, j)[1])
+        verdicts.append((k, float(p[0, 0])))
+        labels[i, k] = labels[j, k] = int(p[0, 0] >= 0.5)
+    mixed = sorted({k for k, _, _ in collect_inconsistent(labels)})
+    for k in mixed:
+        labels[:, k] = int(np.mean([p for kk, p in verdicts if kk == k]) >= 0.5)
+    return labels, mixed
+
+
+def _ref_direction_rate(model, ds, pairs):
+    hits = 0
+    for k, i, j in pairs:
+        e_i, e_f, e_j = _ref_embed(model, ds, k, i, j)
+        hits += int(((e_f - e_i) ** 2).sum() < ((e_f - e_j) ** 2).sum())
+    return hits / len(pairs)
+
+
+def _ref_agreement_rate(model, ds, pairs):
+    agree = 0
+    for k, i, j in pairs:
+        e_i, _, e_j = _ref_embed(model, ds, k, i, j)
+        p_i, _ = model.classify(e_i)
+        p_j, _ = model.classify(e_j)
+        agree += int((p_i[0, 0] >= 0.5) == (p_j[0, 0] >= 0.5))
+    return agree / len(pairs)
+
+
+def many_view_setup(views, n=60):
+    """Views of 3, 4, 5, ... features on which, with the reconciler below,
+    some samples reach the mean-verdict fallback."""
+    rng = np.random.default_rng(0)
+    ds = MultiViewDataset([rng.normal(size=(n, 3 + v)) for v in range(views)])
+    parts = [build_partition(ds, v, 0, n // 2) for v in range(views)]
+    assignment = assignment_from_partitions(parts, 0.618)
+    return ds, assignment, collect_inconsistent(assignment.labels)
+
+
+@pytest.mark.parametrize("views", [2, 3, 4])
+def test_batched_pair_passes_match_per_pair_references(views):
+    if views == 2:
+        ds, _, assignment, pairs = toy_inconsistent_setup()
+    else:
+        ds, assignment, pairs = many_view_setup(views)
+    model = build_reconciler([v.shape[1] for v in ds.views],
+                             np.random.default_rng(13), learning_rate=1e-3)
+    train_reconciler(model, ds, pairs, epochs=5, batch_size=16, t_steps=2, seed=2)
+
+    ref_labels, mixed = _ref_resolve(model, ds, assignment)
+    if views > 2:
+        assert mixed, "the set must reach the mean-verdict fallback"
+    np.testing.assert_array_equal(resolve_labels(model, ds, assignment).labels,
+                                  ref_labels)
+    assert (similarity_direction_rate(model, ds, pairs)
+            == _ref_direction_rate(model, ds, pairs))
+    assert (classifier_agreement_rate(model, ds, pairs)
+            == _ref_agreement_rate(model, ds, pairs))
+
+
+def test_batch_losses_are_the_loss_functions_on_one_group():
+    ds, _, _, pairs = toy_inconsistent_setup()
+    model = build_reconciler([6, 4], np.random.default_rng(0))
+    batch = pairs[:8]            # two views: a single (0, 1) group
+    ks = [k for k, _, _ in batch]
+    x_i, x_j = ds.views[0][ks], ds.views[1][ks]
+    e_i, _ = model.embed_view(x_i, 0)
+    e_j, _ = model.embed_view(x_j, 1)
+    e_f, _ = model.embed_pair(np.concatenate([x_i, x_j], axis=1), (0, 1))
+    p_i, _ = model.classifier.forward(e_i)
+    p_j, _ = model.classifier.forward(e_j)
+    l_sim, l_adv, _, _ = _batch_losses_and_grads(model, ds, batch)
+    assert abs(l_sim - sim_loss(e_i, e_f, e_j, model.margin)) < 1e-12
+    assert abs(l_adv - adv_loss(p_i, p_j, model.pseudo_label)) < 1e-12
+    assert l_sim > 0.0 and l_adv > 0.0

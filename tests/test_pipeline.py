@@ -202,6 +202,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     for section, key, value in (
         ("reconcile", "batch_size", "0"),
         ("reconcile", "t_steps", "0"),
+        ("reconcile", "epochs", "0"),
+        ("reconcile", "embed_width", "0"),
+        ("reconcile", "head_width", "0"),
+        ("reconcile", "margin", "-1"),
         ("clustering", "restarts", "0"),
         ("clustering", "max_iter", "0"),
         ("clustering", "max_iter", "-3"),
