@@ -235,56 +235,93 @@ def _pair_groups(dataset, pairs):
         yield (i, j), ks, x_i, x_j, np.hstack([x_i, x_j])
 
 
-def _batch_losses_and_grads(model, dataset, batch, embedder=True):
+@dataclass
+class _StackedBatch:
+    """One minimax batch laid out for a single pass per net.
+
+    ``heads`` holds (head key, input rows) for each head that has rows: the
+    view heads in view order, each with that view's rows from every group it
+    is in, then the pair heads in view-pair order with their fused rows. The
+    trunk runs over the head outputs stacked in that order, and ``at_i``,
+    ``at_j`` and ``at_f`` index each group's e_i, e_j and e_f rows there,
+    group after group, so together they cover every stacked row once and
+    each holds one row per pair of the batch.
+    """
+
+    heads: list
+    at_i: np.ndarray
+    at_j: np.ndarray
+    at_f: np.ndarray
+
+
+def _stack_batch(dataset, batch):
+    """Stack a batch of (sample, view_i, view_j) pairs for
+    ``_batch_losses_and_grads``; built once and reused by every pass over
+    the batch."""
+    groups = list(_pair_groups(dataset, batch))
+    view_rows = {}
+    for (i, j), _, x_i, x_j, _ in groups:
+        view_rows.setdefault(i, []).append(x_i)
+        view_rows.setdefault(j, []).append(x_j)
+    heads = [(v, np.concatenate(view_rows[v])) for v in sorted(view_rows)]
+    heads += [(key, x_f) for key, _, _, _, x_f in groups]
+    cursor, start = {}, 0    # head key -> its next unclaimed stacked row
+    for key, x in heads:
+        cursor[key] = start
+        start += len(x)
+    at_i, at_j, at_f = [], [], []
+    for (i, j), ks, _, _, _ in groups:
+        for at, key in ((at_i, i), (at_j, j), (at_f, (i, j))):
+            at.append(np.arange(cursor[key], cursor[key] + len(ks)))
+            cursor[key] += len(ks)
+    return _StackedBatch(heads, np.concatenate(at_i),
+                         np.concatenate(at_j), np.concatenate(at_f))
+
+
+def _batch_losses_and_grads(model, stacked, embedder=True):
     """Both loss values and the gradients of J = alpha*L_sim - beta*L_adv.
 
-    Returns (L_sim, L_adv, embedder gradient of J laid out like
-    ``model.embed_params``, classifier gradient of beta*L_adv laid out like
-    ``model.classifier.params.flat``), batch-mean normalized. With
-    ``embedder=False`` the trunk and head backward passes are skipped and the
-    embedder gradient is None.
+    ``stacked`` comes from ``_stack_batch``. Returns (L_sim, L_adv, embedder
+    gradient of J laid out like ``model.embed_params``, classifier gradient
+    of beta*L_adv laid out like ``model.classifier.params.flat``),
+    batch-mean normalized. Each head with rows, the trunk and the classifier
+    run one forward (and backward) over all their rows. With
+    ``embedder=False`` the trunk and head backward passes are skipped and
+    the embedder gradient is None.
     """
-    b = len(batch)
-    g_embed = np.zeros(model.embed_params.size) if embedder else None
-    g_cls = np.zeros(model.classifier.spec.size)
-    sim_total = 0.0
-    adv_total = 0.0
+    b = len(stacked.at_i)
     alpha, beta, ell, m = (model.sim_weight, model.adv_weight,
                            model.pseudo_label, model.margin)
+    heads = [(key, model.pair_heads[key] if isinstance(key, tuple)
+              else model.view_heads[key], x) for key, x in stacked.heads]
+    head_out = [head.forward(x) for _, head, x in heads]
+    e, c_trunk = model.trunk.forward(np.concatenate([h for h, _ in head_out]))
+    e_i, e_j = e[stacked.at_i], e[stacked.at_j]
+    sim, dsim_ei, dsim_ef, dsim_ej = _hinge(e_i, e[stacked.at_f], e_j, m)
 
-    for (i, j), _, x_i, x_j, x_f in _pair_groups(dataset, batch):
-        e_i, cache_i = model.embed_view(x_i, i)
-        e_j, cache_j = model.embed_view(x_j, j)
-        e_f, cache_f = model.embed_pair(x_f, (i, j))
-        sim, dsim_ei, dsim_ef, dsim_ej = _hinge(e_i, e_f, e_j, m)
-        sim_total += sim
+    p, c_cls = model.classifier.forward(np.concatenate([e_i, e_j]))
+    adv, dadv_pi, dadv_pj = _log_terms(p[:b], p[b:], ell)
+    gc, dadv_e = model.classifier.backward(
+        c_cls, np.concatenate([dadv_pi, dadv_pj]))
+    # classifier minimizes beta * L_adv
+    g_cls = beta * gc.flat / b
+    if not embedder:
+        return sim / b, adv / b, None, g_cls
 
-        p_i, c_cls_i = model.classifier.forward(e_i)
-        p_j, c_cls_j = model.classifier.forward(e_j)
-        adv, dadv_pi, dadv_pj = _log_terms(p_i, p_j, ell)
-        adv_total += adv
-        gc_i, dadv_ei = model.classifier.backward(c_cls_i, dadv_pi)
-        gc_j, dadv_ej = model.classifier.backward(c_cls_j, dadv_pj)
-
-        # classifier minimizes beta * L_adv
-        g_cls += beta * (gc_i.flat + gc_j.flat) / b
-        if not embedder:
-            continue
-
-        # embedder minimizes J = alpha*L_sim - beta*L_adv
-        dj_ei = (alpha * dsim_ei - beta * dadv_ei) / b
-        dj_ej = (alpha * dsim_ej - beta * dadv_ej) / b
-        dj_ef = alpha * dsim_ef / b
-        g_trunk = g_embed[model.embed_slices["trunk"]]
-        for e_grad, (c_head, c_trunk), head, key in (
-            (dj_ei, cache_i, model.view_heads[i], i),
-            (dj_ej, cache_j, model.view_heads[j], j),
-            (dj_ef, cache_f, model.pair_heads[(i, j)], (i, j)),
-        ):
-            _, dh = model.trunk.backward(c_trunk, e_grad, g_trunk)
-            head.backward(c_head, dh, g_embed[model.embed_slices[key]])
-
-    return sim_total / b, adv_total / b, g_embed, g_cls
+    # embedder minimizes J = alpha*L_sim - beta*L_adv
+    g_e = np.empty_like(e)
+    g_e[stacked.at_i] = (alpha * dsim_ei - beta * dadv_e[:b]) / b
+    g_e[stacked.at_j] = (alpha * dsim_ej - beta * dadv_e[b:]) / b
+    g_e[stacked.at_f] = alpha * dsim_ef / b
+    g_embed = np.zeros(model.embed_params.size)
+    _, dh = model.trunk.backward(c_trunk, g_e,
+                                 g_embed[model.embed_slices["trunk"]])
+    start = 0
+    for (key, head, x), (_, c_head) in zip(heads, head_out):
+        head.backward(c_head, dh[start:start + len(x)],
+                      g_embed[model.embed_slices[key]])
+        start += len(x)
+    return sim / b, adv / b, g_embed, g_cls
 
 
 def minimax_epoch(model, dataset, pairs, batch_size, t_steps, rng):
@@ -300,18 +337,17 @@ def minimax_epoch(model, dataset, pairs, batch_size, t_steps, rng):
     order = rng.permutation(len(pairs))
     sim_vals, adv_vals = [], []
     for start in range(0, len(pairs), batch_size):
-        batch = [pairs[idx] for idx in order[start:start + batch_size]]
+        stacked = _stack_batch(
+            dataset, [pairs[idx] for idx in order[start:start + batch_size]])
         for _ in range(t_steps):
-            l_sim, l_adv, embed_grads, _ = _batch_losses_and_grads(
-                model, dataset, batch
-            )
+            l_sim, l_adv, embed_grads, _ = _batch_losses_and_grads(model, stacked)
             if not np.isfinite(l_sim) or not np.isfinite(l_adv):
                 raise NumericalError(
                     f"non-finite loss in batch starting at pair {start}"
                 )
             adam_step(model.embed_opt, model.embed_params, embed_grads)
         l_sim, l_adv, _, cls_grads = _batch_losses_and_grads(
-            model, dataset, batch, embedder=False
+            model, stacked, embedder=False
         )
         adam_step(model.cls_opt, model.classifier.params.flat, cls_grads)
         sim_vals.append(l_sim)

@@ -242,10 +242,17 @@ def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
             if idx.size == 0:
                 continue
             n_batches += 1
+            xs = [view[idx] for view in dataset.views]
+            if gate_open:
+                # encoder v changes only in view v's own update below, so
+                # each view is encoded once per batch: views after the first
+                # up front, every view again right after its update
+                z_batch = [None] + [model.views[v].encoder.forward(xs[v])[0]
+                                    for v in range(1, n_views)]
             for i in range(n_views):
                 vn = model.views[i]
                 opt = opts[i]
-                x = dataset.views[i][idx]
+                x = xs[i]
                 if gate_open:
                     loss, g_enc, g_gen = ae_loss_open(vn, x, z_full[idx], n_views)
                 else:
@@ -258,11 +265,10 @@ def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
                 # discriminator vs self-reconstruction; once the gate is
                 # open, refresh the fused rows for this batch and play the
                 # common-subspace round as well
-                adv_sums[i] += _gan_round(vn, opt, x, vn.encoder.forward(x)[0],
-                                          epoch, n_batches)
+                z_i = vn.encoder.forward(x)[0]
+                adv_sums[i] += _gan_round(vn, opt, x, z_i, epoch, n_batches)
                 if gate_open:
-                    z_batch = [model.views[v].encoder.forward(
-                        dataset.views[v][idx])[0] for v in range(n_views)]
+                    z_batch[i] = z_i
                     z_full[idx] = fuse_subspace(z_batch)
                     adv_sums[i] += _gan_round(vn, opt, x, z_full[idx],
                                               epoch, n_batches)

@@ -15,6 +15,7 @@ Variants (ablation switches):
 
 import configparser
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -167,6 +168,16 @@ def load_config(path, overrides=None):
     if not float(cfg.reconcile["margin"]) >= 0.0:
         raise ConfigError(
             f"reconcile.margin must be >= 0, got {cfg.reconcile['margin']}")
+    for section, key, bound in (("reconcile", "learning_rate", "> 0"),
+                                ("network", "learning_rate", "> 0"),
+                                ("reconcile", "sim_weight", ">= 0"),
+                                ("reconcile", "adv_weight", ">= 0"),
+                                ("reconcile", "pseudo_label", ">= 0")):
+        value = float(values[section][key])
+        if (not math.isfinite(value) or value < 0.0
+                or (value == 0.0 and bound == "> 0")):
+            raise ConfigError(
+                f"{section}.{key} must be finite and {bound}, got {value}")
     try:
         widths = cfg.hidden_widths
     except ValueError:

@@ -13,8 +13,9 @@ import pytest
 
 from mvclust.cluster import accuracy, evaluate, kmeans, nmi, purity
 from mvclust.data import MultiViewDataset, build_partition, make_synthetic
-from mvclust.difficulty import (_batch_losses_and_grads, adv_loss,
-                                assign_difficulty, build_reconciler, sim_loss)
+from mvclust.difficulty import (_batch_losses_and_grads, _stack_batch,
+                                adv_loss, assign_difficulty, build_reconciler,
+                                sim_loss)
 from mvclust.network import (GOLDEN_SECTION, adversarial_losses,
                              ae_loss_closed, ae_loss_open, build_model, gate)
 from mvclust.pipeline import export_embeddings, load_config, run
@@ -277,21 +278,22 @@ def test_criterion_3_gradient_checks():
         started = time.monotonic()
         for point in range(10):
             ds, model, batch = _reconciler_setup(300 + point)
+            stacked = _stack_batch(ds, batch)
             alpha, beta = model.sim_weight, model.adv_weight
 
             # embedder gradients of the reconciliation objective
             def j_value():
-                s, a, _, _ = _batch_losses_and_grads(model, ds, batch)
+                s, a, _, _ = _batch_losses_and_grads(model, stacked)
                 return alpha * s - beta * a
 
             _, _, embed_grads, cls_grads = _batch_losses_and_grads(
-                model, ds, batch)
+                model, stacked)
             _check_close([embed_grads],
                          numerical_grads(j_value, [model.embed_params]))
 
             # classifier gradients of the (weighted) classification loss
             def adv_value():
-                _, a, _, _ = _batch_losses_and_grads(model, ds, batch)
+                _, a, _, _ = _batch_losses_and_grads(model, stacked)
                 return beta * a
 
             _check_close([cls_grads],

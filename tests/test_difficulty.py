@@ -8,7 +8,8 @@ from mvclust.difficulty import (ReconcilerModel, adv_loss, assign_difficulty,
                                 export_difficulty, minimax_epoch,
                                 resolve_labels, sim_loss,
                                 similarity_direction_rate,
-                                _batch_losses_and_grads, train_reconciler)
+                                _batch_losses_and_grads, _stack_batch,
+                                train_reconciler)
 from mvclust.errors import DataError
 
 from conftest import rel_err
@@ -141,7 +142,8 @@ def test_minimax_first_order_directions():
     model = build_reconciler([6, 4], np.random.default_rng(0), learning_rate=1e-4)
     batch = pairs[:8]
 
-    _, _, embed_grads, cls_grads = _batch_losses_and_grads(model, ds, batch)
+    _, _, embed_grads, cls_grads = _batch_losses_and_grads(
+        model, _stack_batch(ds, batch))
     before_e = model.embed_params.copy()
     before_c = model.classifier.params.flat.copy()
     minimax_epoch(model, ds, batch, batch_size=8, t_steps=1,
@@ -242,8 +244,9 @@ def test_embedder_nets_share_one_flat_vector():
 def test_classifier_pass_matches_full_pass():
     ds, _, _, pairs = toy_inconsistent_setup()
     model = build_reconciler([6, 4], np.random.default_rng(0))
-    full = _batch_losses_and_grads(model, ds, pairs[:8])
-    cls_only = _batch_losses_and_grads(model, ds, pairs[:8], embedder=False)
+    stacked = _stack_batch(ds, pairs[:8])
+    full = _batch_losses_and_grads(model, stacked)
+    cls_only = _batch_losses_and_grads(model, stacked, embedder=False)
     assert cls_only[:2] == full[:2] and cls_only[2] is None
     assert cls_only[3].tobytes() == full[3].tobytes()
 
@@ -335,7 +338,94 @@ def test_batch_losses_are_the_loss_functions_on_one_group():
     e_f, _ = model.embed_pair(np.concatenate([x_i, x_j], axis=1), (0, 1))
     p_i, _ = model.classifier.forward(e_i)
     p_j, _ = model.classifier.forward(e_j)
-    l_sim, l_adv, _, _ = _batch_losses_and_grads(model, ds, batch)
+    l_sim, l_adv, _, _ = _batch_losses_and_grads(model, _stack_batch(ds, batch))
     assert abs(l_sim - sim_loss(e_i, e_f, e_j, model.margin)) < 1e-12
     assert abs(l_adv - adv_loss(p_i, p_j, model.pseudo_label)) < 1e-12
     assert l_sim > 0.0 and l_adv > 0.0
+
+
+# --- the stacked trainer pass against the per-group loop ----------------------
+
+def _ref_batch_losses_and_grads(model, ds, batch):
+    """The trainer's losses and gradients written as one pass per view-pair
+    group: three trunk and two classifier forwards and backwards per group."""
+    b = len(batch)
+    g_embed = np.zeros(model.embed_params.size)
+    g_cls = np.zeros(model.classifier.spec.size)
+    sim_total = adv_total = 0.0
+    alpha, beta, ell, m = (model.sim_weight, model.adv_weight,
+                           model.pseudo_label, model.margin)
+    groups = {}
+    for k, i, j in batch:
+        groups.setdefault((i, j), []).append(k)
+    for (i, j), ks in sorted(groups.items()):
+        x_i, x_j = ds.views[i][ks], ds.views[j][ks]
+        e_i, cache_i = model.embed_view(x_i, i)
+        e_j, cache_j = model.embed_view(x_j, j)
+        e_f, cache_f = model.embed_pair(np.hstack([x_i, x_j]), (i, j))
+        diff_i, diff_j = e_f - e_i, e_f - e_j
+        s = m + (diff_i ** 2).sum(axis=1) - (diff_j ** 2).sum(axis=1)
+        active = (s > 0.0).astype(float)[:, None]
+        sim_total += np.maximum(0.0, s).sum()
+        p_i, c_cls_i = model.classifier.forward(e_i)
+        p_j, c_cls_j = model.classifier.forward(e_j)
+        in_i = (p_i > 1e-7) & (p_i < 1 - 1e-7)
+        in_j = (p_j > 1e-7) & (p_j < 1 - 1e-7)
+        p_i, p_j = np.clip(p_i, 1e-7, 1 - 1e-7), np.clip(p_j, 1e-7, 1 - 1e-7)
+        adv_total += -ell * (np.log(p_i).sum() + np.log(1.0 - p_j).sum())
+        gc_i, dadv_ei = model.classifier.backward(c_cls_i, -ell / p_i * in_i)
+        gc_j, dadv_ej = model.classifier.backward(c_cls_j,
+                                                  ell / (1.0 - p_j) * in_j)
+        g_cls += beta * (gc_i.flat + gc_j.flat) / b
+        for e_grad, (c_head, c_trunk), head, key in (
+            ((alpha * active * -2.0 * diff_i - beta * dadv_ei) / b, cache_i,
+             model.view_heads[i], i),
+            ((alpha * active * 2.0 * diff_j - beta * dadv_ej) / b, cache_j,
+             model.view_heads[j], j),
+            (alpha * active * 2.0 * (diff_i - diff_j) / b, cache_f,
+             model.pair_heads[(i, j)], (i, j)),
+        ):
+            _, dh = model.trunk.backward(c_trunk, e_grad,
+                                         g_embed[model.embed_slices["trunk"]])
+            head.backward(c_head, dh, g_embed[model.embed_slices[key]])
+    return sim_total / b, adv_total / b, g_embed, g_cls
+
+
+def _assert_matches_reference(model, ds, batch):
+    # the weight gradients sum their rows in another order, so an entry
+    # that cancels to near zero may differ by a few ulps of the vector's
+    # largest entry: the tolerance is relative to that entry
+    got = _batch_losses_and_grads(model, _stack_batch(ds, batch))
+    want = _ref_batch_losses_and_grads(model, ds, batch)
+    for value, ref in zip(got, want):
+        np.testing.assert_allclose(value, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+    return got
+
+
+@pytest.mark.parametrize("views", [2, 3, 4])
+def test_stacked_pass_matches_per_group_loop(views):
+    if views == 2:
+        ds, _, _, pairs = toy_inconsistent_setup()
+    else:
+        ds, _, pairs = many_view_setup(views)
+    model = build_reconciler([v.shape[1] for v in ds.views],
+                             np.random.default_rng(13), learning_rate=1e-3)
+    train_reconciler(model, ds, pairs, epochs=2, batch_size=16, t_steps=2, seed=2)
+    order = np.random.default_rng(4).permutation(len(pairs))
+    batch = [pairs[idx] for idx in order[:24]]
+    assert len({(i, j) for _, i, j in batch}) == views * (views - 1) // 2
+    _assert_matches_reference(model, ds, batch)
+
+
+def test_stacked_pass_leaves_heads_without_rows_at_zero():
+    ds, _, pairs = many_view_setup(4)
+    model = build_reconciler([v.shape[1] for v in ds.views],
+                             np.random.default_rng(13))
+    # groups (0, 1) and (0, 2) only: view 3 and four view pairs have no rows
+    batch = ([p for p in pairs if p[1:] == (0, 1)][:5]
+             + [p for p in pairs if p[1:] == (0, 2)][:3])
+    _, _, g_embed, _ = _assert_matches_reference(model, ds, batch)
+    for key, sl in model.embed_slices.items():
+        empty = key in (3, (0, 3), (1, 2), (1, 3), (2, 3))
+        assert (g_embed[sl] == 0.0).all() == empty, key

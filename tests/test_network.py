@@ -4,11 +4,11 @@ import pytest
 from mvclust.data import MultiViewDataset, make_synthetic, load_manifest
 from mvclust.errors import ShapeError
 from mvclust.nets import AdamState, MlpParams, MlpSpec, Net, adam_step
-from mvclust.network import (GOLDEN_SECTION, ViewNets, adversarial_losses,
-                             ae_loss_closed, ae_loss_open, build_model,
-                             fuse_subspace, gate, load_checkpoint,
-                             save_checkpoint, train)
-from mvclust.sampling import PaceSchedule
+from mvclust.network import (GOLDEN_SECTION, ViewNets, _ViewOptimizers,
+                             _gan_round, adversarial_losses, ae_loss_closed,
+                             ae_loss_open, build_model, fuse_subspace, gate,
+                             load_checkpoint, save_checkpoint, train)
+from mvclust.sampling import PaceSchedule, pace_value, selection_mask
 
 from conftest import assert_grads_close, numerical_grads, rel_err
 
@@ -279,3 +279,101 @@ def test_checkpoint_loads_into_the_flat_vectors(tmp_path, rng):
               np.ones(net.spec.size))
     for block, was in zip(net.blocks(), loaded):
         np.testing.assert_allclose(block, was - 0.1, rtol=0, atol=1e-8)
+
+
+# --- open-gate latent cache against a loop that re-encodes every view ---------
+
+def _ref_train_open(model, ds, probs, sched, epochs, batch_size, lr, seed):
+    """``train`` with the gate forced open, written as a loop that encodes
+    every view again for each view's common-subspace round. Returns the
+    common subspace and the log rows."""
+    rng = np.random.default_rng(seed)
+    opts = [_ViewOptimizers(vn, lr) for vn in model.views]
+    n_views = ds.n_views
+
+    def fused(rows):
+        return fuse_subspace([model.views[v].encoder.forward(ds.views[v][rows])[0]
+                              for v in range(n_views)])
+
+    z_full = np.zeros((ds.n, model.latent_width))
+    ever_selected = np.zeros(ds.n, dtype=bool)
+    log_rows = []
+    for epoch in range(epochs):
+        lam = pace_value(sched, epoch, probs)
+        selected = np.nonzero(selection_mask(probs, lam))[0]
+        ever_selected[selected] = True
+        z_full[selected] = fused(selected)
+        order = rng.permutation(len(selected))
+        ae_sums, adv_sums, n_batches = np.zeros(n_views), np.zeros((n_views, 2)), 0
+        for start in range(0, len(selected), batch_size):
+            idx = selected[order[start:start + batch_size]]
+            n_batches += 1
+            for i, (vn, opt) in enumerate(zip(model.views, opts)):
+                x = ds.views[i][idx]
+                loss, g_enc, g_gen = ae_loss_open(vn, x, z_full[idx], n_views)
+                adam_step(opt.encoder, vn.encoder.params.flat, g_enc.flat)
+                adam_step(opt.generator, vn.generator.params.flat, g_gen.flat)
+                ae_sums[i] += loss
+                adv_sums[i] += _gan_round(vn, opt, x, vn.encoder.forward(x)[0],
+                                          epoch, n_batches)
+                z_full[idx] = fused(idx)
+                adv_sums[i] += _gan_round(vn, opt, x, z_full[idx], epoch,
+                                          n_batches)
+        log_rows.append({
+            "epoch": epoch, "lambda": lam, "mask_size": int(len(selected)),
+            "gate": 1, "ae_loss": (ae_sums / n_batches).tolist(),
+            "disc_value": (adv_sums[:, 0] / n_batches).tolist(),
+            "gen_value": (adv_sums[:, 1] / n_batches).tolist(),
+        })
+    now = fused(np.arange(ds.n))
+    z_full[~ever_selected] = now[~ever_selected]
+    return z_full, log_rows
+
+
+def three_view_setup(n=40):
+    rng = np.random.default_rng(5)
+    ds = MultiViewDataset([rng.normal(size=(n, d)) for d in (5, 4, 3)])
+    return ds, rng.uniform(0.2, 1.0, size=n)
+
+
+def test_open_gate_cache_matches_reencoding_loop():
+    ds, probs = three_view_setup()
+    sched = PaceSchedule(max_epochs=4)
+    dims = [v.shape[1] for v in ds.views]
+    model = build_model(dims, 3, np.random.default_rng(0), hidden=(6,))
+    ref = build_model(dims, 3, np.random.default_rng(0), hidden=(6,))
+    result = train(model, ds, probs, sched, epochs=4, batch_size=16,
+                   learning_rate=1e-3, seed=2, force_gate_open=True)
+    ref_z, ref_rows = _ref_train_open(ref, ds, probs, sched, epochs=4,
+                                      batch_size=16, lr=1e-3, seed=2)
+    assert result.gate_opened_epoch == 0
+    assert result.subspace.z.tobytes() == ref_z.tobytes()
+    assert result.log_rows == ref_rows
+    for vn, ref_vn in zip(model.views, ref.views):
+        for net, ref_net in ((vn.encoder, ref_vn.encoder),
+                             (vn.generator, ref_vn.generator),
+                             (vn.discriminator, ref_vn.discriminator)):
+            assert net.params.flat.tobytes() == ref_net.params.flat.tobytes()
+
+
+def test_open_batch_encodes_each_view_three_times_less_one():
+    ds, probs = three_view_setup()
+    model = build_model([v.shape[1] for v in ds.views], 3,
+                        np.random.default_rng(0), hidden=(6,))
+    calls = []
+
+    def counted(forward):
+        def wrapper(x):
+            calls.append(len(x))
+            return forward(x)
+        return wrapper
+
+    for vn in model.views:
+        vn.encoder.forward = counted(vn.encoder.forward)
+    result = train(model, ds, np.ones(ds.n), PaceSchedule(max_epochs=1),
+                   epochs=1, batch_size=16, seed=0, force_gate_open=True)
+    n_views, batches = ds.n_views, -(-result.log_rows[0]["mask_size"] // 16)
+    assert batches == 3
+    # one fusion of the selected set and one export-time encode per view,
+    # and 3V - 1 encoder passes per open batch
+    assert len(calls) == 2 * n_views + batches * (3 * n_views - 1)

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mvclust
 from mvclust.cli import main
 from mvclust.data import make_synthetic
 from mvclust.errors import ConfigError
@@ -206,6 +209,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("reconcile", "embed_width", "0"),
         ("reconcile", "head_width", "0"),
         ("reconcile", "margin", "-1"),
+        ("reconcile", "learning_rate", "-1"),
+        ("reconcile", "learning_rate", "0"),
+        ("reconcile", "sim_weight", "-5"),
+        ("reconcile", "adv_weight", "inf"),
+        ("reconcile", "pseudo_label", "nan"),
+        ("network", "learning_rate", "nan"),
         ("clustering", "restarts", "0"),
         ("clustering", "max_iter", "0"),
         ("clustering", "max_iter", "-3"),
@@ -236,3 +245,31 @@ def test_cli_ablate_subset(tmp_path, capsys):
                  "--out", str(tmp_path / "abl")]) == 0
     assert "NONE" in capsys.readouterr().out
     assert main(["ablate", "--config", cfg, "--variants", "NOPE"]) == 2
+
+
+def test_three_view_full_run_is_identical_across_blas_threads(tmp_path):
+    # the CLI in fresh processes, so the BLAS thread count is read at start-up
+    manifest = make_synthetic(str(tmp_path / "data"), clusters=3, samples=150,
+                              views=3, noise=0.1, seed=0)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[experiment]\nmanifest = {manifest}\n"
+                   "[reconcile]\nepochs = 10\n"
+                   "[network]\nepochs = 20\nlearning_rate = 1e-3\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mvclust.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvclust.cli", "run", "--config", str(cfg),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        info = (out / "run_info.txt").read_text()
+        opened = int(info.split("gate_opened_epoch = ")[1].split()[0])
+        assert opened >= 0, "the gate must open"
+        outputs.append([(out / name).read_bytes()
+                        for name in ("metrics.txt", "artifacts.npz")])
+    assert outputs[0] == outputs[1]
