@@ -18,7 +18,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,43 +33,58 @@ log = logging.getLogger(__name__)
 
 VARIANTS = ("NONE", "CS", "CS+GS", "AIS+CS", "FULL")
 
-_DEFAULTS = {
+_VARIANT_RULE = "one of " + ", ".join(VARIANTS)
+
+# Every config key once: section -> key -> (default, rule). The default's type
+# is the key's type; a float must also be finite, and every width of the
+# tuple-valued network.hidden must meet its rule.
+SCHEMA = {
     "experiment": {
-        "manifest": None,       # required
-        "seed": 0,
-        "variant": "FULL",
-        "clusters": 0,          # 0 => infer from labels
-        "out": "run_out",
+        "manifest": ("", "non-empty"),      # relative to the config file
+        "seed": (0, ">= 0"),
+        "variant": ("FULL", _VARIANT_RULE),
+        "clusters": (0, ">= 0"),            # 0 => infer from labels
+        "out": ("run_out", "non-empty"),
     },
     "data": {
-        "k_neighbors": 0,       # 0 => n // 2
-        "mu": net.GOLDEN_SECTION,
+        "k_neighbors": (0, ">= 0"),         # 0 => n // 2
+        "mu": (net.GOLDEN_SECTION, "in (0, 1)"),
     },
     "reconcile": {
-        "epochs": 100,
-        "batch_size": 32,
-        "t_steps": 3,
-        "margin": 0.05,
-        "pseudo_label": 0.5,
-        "sim_weight": 0.3,
-        "adv_weight": 0.5,
-        "embed_width": 32,
-        "head_width": 64,
-        "learning_rate": 1e-4,
+        "epochs": (100, ">= 1"),
+        "batch_size": (32, ">= 1"),
+        "t_steps": (3, ">= 1"),
+        "margin": (0.05, ">= 0"),
+        "pseudo_label": (0.5, ">= 0"),
+        "sim_weight": (0.3, ">= 0"),
+        "adv_weight": (0.5, ">= 0"),
+        "embed_width": (32, ">= 1"),
+        "head_width": (64, ">= 1"),
+        "learning_rate": (1e-4, "> 0"),
     },
     "network": {
-        "epochs": 300,
-        "batch_size": 64,
-        "latent_width": 10,
-        "hidden": "128,64",
-        "learning_rate": 1e-4,
-        "initial_fraction": 0.05,
-        "full_inclusion_fraction": 0.8,
+        "epochs": (300, ">= 1"),
+        "batch_size": (64, ">= 1"),
+        "latent_width": (10, ">= 1"),
+        "hidden": ((128, 64), ">= 1"),
+        "learning_rate": (1e-4, "> 0"),
+        "initial_fraction": (0.05, "in (0, 1]"),
+        "full_inclusion_fraction": (0.8, "in (0, 1]"),
     },
     "clustering": {
-        "restarts": 20,
-        "max_iter": 100,
+        "restarts": (20, ">= 1"),
+        "max_iter": (100, ">= 1"),
     },
+}
+
+_RULES = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "> 0": lambda v: v > 0,
+    "in (0, 1)": lambda v: 0 < v < 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "non-empty": bool,
+    _VARIANT_RULE: lambda v: v in VARIANTS,
 }
 
 
@@ -90,18 +105,34 @@ class ExperimentConfig:
 
     @property
     def hidden_widths(self):
-        return tuple(int(w) for w in str(self.network["hidden"]).split(","))
+        return self.network["hidden"]
 
 
-def _coerce(value, default, name):
-    try:
-        if isinstance(default, int):
-            return int(value)
-        if isinstance(default, float):
-            return float(value)
-    except ValueError:
+def _parse(name, text, default, rule):
+    """Convert ``text`` (None: the default) to the default's type and check it."""
+    value = default
+    if text is not None:
+        try:
+            if isinstance(default, tuple):
+                value = tuple(int(w) for w in text.split(","))
+            else:
+                value = type(default)(text)
+        except ValueError:
+            kind = ("comma-separated ints" if isinstance(default, tuple)
+                    else type(default).__name__)
+            raise ConfigError(f"{name} must be {kind}, got {text!r}") from None
+    holds = _RULES[rule]
+    if isinstance(value, float):
+        ok = math.isfinite(value) and holds(value)
+        rule = f"finite and {rule}"
+    elif isinstance(value, tuple):
+        ok = all(holds(w) for w in value)
+        rule = f"each {rule}"
+    else:
+        ok = holds(value)
+    if not ok:
         raise ConfigError(
-            f"{name} must be {type(default).__name__}, got {value!r}") from None
+            f"{name} must be {rule}, got {text if text is not None else value!r}")
     return value
 
 
@@ -112,84 +143,34 @@ def load_config(path, overrides=None):
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
-    values = {s: dict(d) for s, d in _DEFAULTS.items()}
+    given = {}
     for section in parser.sections():
-        if section not in _DEFAULTS:
+        if section not in SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _DEFAULTS[section]:
+        for key, text in parser.items(section):
+            if key not in SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            values[section][key] = _coerce(raw, _DEFAULTS[section][key],
-                                           f"{section}.{key}")
+            given[f"{section}.{key}"] = text
     for dotted, value in (overrides or {}).items():
-        section, key = dotted.split(".", 1)
-        if section not in _DEFAULTS or key not in _DEFAULTS[section]:
+        section, _, key = dotted.partition(".")
+        if key not in SCHEMA.get(section, {}):
             raise ConfigError(f"unknown override {dotted!r}")
-        values[section][key] = _coerce(str(value), _DEFAULTS[section][key], dotted) \
-            if _DEFAULTS[section][key] is not None else value
-    exp = values["experiment"]
-    if not exp["manifest"]:
-        raise ConfigError("experiment.manifest is required")
-    if exp["variant"] not in VARIANTS:
-        raise ConfigError(
-            f"unknown variant {exp['variant']!r}; choose from {', '.join(VARIANTS)}"
-        )
-    base = os.path.dirname(os.path.abspath(path))
-    manifest = exp["manifest"]
-    if not os.path.isabs(manifest):
-        manifest = os.path.join(base, manifest)
-    cfg = ExperimentConfig(
-        manifest=manifest,
-        seed=int(exp["seed"]),
-        variant=exp["variant"],
-        clusters=int(exp["clusters"]),
-        out=exp["out"],
-        k_neighbors=int(values["data"]["k_neighbors"]),
-        mu=float(values["data"]["mu"]),
-        reconcile=values["reconcile"],
-        network=values["network"],
-        clustering=values["clustering"],
-    )
-    if not 0.0 < cfg.mu < 1.0:
-        raise ConfigError(f"data.mu must be in (0, 1), got {cfg.mu}")
-    for section, key in (("network", "epochs"), ("network", "batch_size"),
-                         ("network", "latent_width"), ("reconcile", "epochs"),
-                         ("reconcile", "batch_size"), ("reconcile", "t_steps"),
-                         ("reconcile", "embed_width"), ("reconcile", "head_width"),
-                         ("clustering", "restarts"), ("clustering", "max_iter")):
-        if int(values[section][key]) < 1:
-            raise ConfigError(
-                f"{section}.{key} must be >= 1, got {values[section][key]}")
-    if not float(cfg.reconcile["margin"]) >= 0.0:
-        raise ConfigError(
-            f"reconcile.margin must be >= 0, got {cfg.reconcile['margin']}")
-    for section, key, bound in (("reconcile", "learning_rate", "> 0"),
-                                ("network", "learning_rate", "> 0"),
-                                ("reconcile", "sim_weight", ">= 0"),
-                                ("reconcile", "adv_weight", ">= 0"),
-                                ("reconcile", "pseudo_label", ">= 0")):
-        value = float(values[section][key])
-        if (not math.isfinite(value) or value < 0.0
-                or (value == 0.0 and bound == "> 0")):
-            raise ConfigError(
-                f"{section}.{key} must be finite and {bound}, got {value}")
-    try:
-        widths = cfg.hidden_widths
-    except ValueError:
-        widths = (0,)
-    if min(widths) < 1:
-        raise ConfigError("network.hidden must be comma-separated widths >= 1, "
-                          f"got {cfg.network['hidden']!r}")
-    for key in ("initial_fraction", "full_inclusion_fraction"):
-        if not 0.0 < float(cfg.network[key]) <= 1.0:
-            raise ConfigError(
-                f"network.{key} must be in (0, 1], got {cfg.network[key]}")
-    return cfg
+        given[dotted] = str(value)
+    values = {
+        section: {key: _parse(f"{section}.{key}", given.get(f"{section}.{key}"),
+                              default, rule)
+                  for key, (default, rule) in keys.items()}
+        for section, keys in SCHEMA.items()
+    }
+    exp = values.pop("experiment")
+    exp["manifest"] = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                   exp["manifest"])
+    return ExperimentConfig(**exp, **values.pop("data"), **values)
 
 
 @dataclass
@@ -223,7 +204,6 @@ def _pick_best_view(dataset, clusters, seed, restarts, max_iter):
 def run(cfg):
     """Execute one experiment; writes reports into cfg.out and returns a RunReport."""
     started = time.time()
-    os.makedirs(cfg.out, exist_ok=True)
     dataset = dat.load_manifest(cfg.manifest)
     n = dataset.n
     n_views = dataset.n_views
@@ -234,6 +214,8 @@ def run(cfg):
                 "experiment.clusters must be set when the dataset has no labels"
             )
         clusters = len(np.unique(dataset.labels))
+    if clusters > n:
+        raise DataError(f"cannot form {clusters} clusters from {n} samples")
 
     rng = np.random.default_rng(cfg.seed)
     anchor = int(rng.integers(n))  # shared across views
@@ -241,6 +223,7 @@ def run(cfg):
     partitions = [dat.build_partition(dataset, v, anchor, k)
                   for v in range(n_views)]
     raw_assignment = dif.assignment_from_partitions(partitions, cfg.mu)
+    os.makedirs(cfg.out, exist_ok=True)
 
     use_ais = cfg.variant in ("AIS+CS", "FULL")
     use_cs = cfg.variant != "NONE"
@@ -257,19 +240,19 @@ def run(cfg):
             model = dif.build_reconciler(
                 [v.shape[1] for v in dataset.views],
                 np.random.default_rng(cfg.seed + 1),
-                embed_width=int(rc["embed_width"]),
-                head_width=int(rc["head_width"]),
-                margin=float(rc["margin"]),
-                pseudo_label=float(rc["pseudo_label"]),
-                sim_weight=float(rc["sim_weight"]),
-                adv_weight=float(rc["adv_weight"]),
-                learning_rate=float(rc["learning_rate"]),
+                embed_width=rc["embed_width"],
+                head_width=rc["head_width"],
+                margin=rc["margin"],
+                pseudo_label=rc["pseudo_label"],
+                sim_weight=rc["sim_weight"],
+                adv_weight=rc["adv_weight"],
+                learning_rate=rc["learning_rate"],
             )
             dif.train_reconciler(
                 model, dataset, pairs,
-                epochs=int(rc["epochs"]),
-                batch_size=int(rc["batch_size"]),
-                t_steps=int(rc["t_steps"]),
+                epochs=rc["epochs"],
+                batch_size=rc["batch_size"],
+                t_steps=rc["t_steps"],
                 seed=cfg.seed + 2,
             )
             assignment = dif.resolve_labels(model, dataset, raw_assignment)
@@ -283,11 +266,12 @@ def run(cfg):
     else:
         assignment = raw_assignment
 
-    epochs = int(cfg.network["epochs"])
+    nw = cfg.network
+    epochs = nw["epochs"]
     schedule = smp.PaceSchedule(
         max_epochs=epochs,
-        initial_fraction=float(cfg.network["initial_fraction"]),
-        full_inclusion_epoch_fraction=float(cfg.network["full_inclusion_fraction"]),
+        initial_fraction=nw["initial_fraction"],
+        full_inclusion_epoch_fraction=nw["full_inclusion_fraction"],
     )
     if not use_cs:
         averaged = np.ones(n)
@@ -297,21 +281,21 @@ def run(cfg):
     else:
         best_view = _pick_best_view(
             dataset, clusters, cfg.seed,
-            int(cfg.clustering["restarts"]), int(cfg.clustering["max_iter"]),
+            cfg.clustering["restarts"], cfg.clustering["max_iter"],
         )
         state = smp.compute_probabilities(assignment, partitions)
         averaged = state.per_view[best_view]
 
     mv_model = net.build_model(
         [v.shape[1] for v in dataset.views],
-        int(cfg.network["latent_width"]),
+        nw["latent_width"],
         np.random.default_rng(cfg.seed + 3),
         hidden=cfg.hidden_widths,
     )
     result = net.train(
         mv_model, dataset, averaged, schedule, epochs,
-        batch_size=int(cfg.network["batch_size"]),
-        learning_rate=float(cfg.network["learning_rate"]),
+        batch_size=nw["batch_size"],
+        learning_rate=nw["learning_rate"],
         seed=cfg.seed + 4,
         force_gate_open=not use_gate,
         log_path=os.path.join(cfg.out, "training_log.csv"),
@@ -319,9 +303,9 @@ def run(cfg):
 
     km = clu.kmeans(
         result.subspace.z, clusters,
-        max_iter=int(cfg.clustering["max_iter"]),
+        max_iter=cfg.clustering["max_iter"],
         seed=cfg.seed + 5,
-        restarts=int(cfg.clustering["restarts"]),
+        restarts=cfg.clustering["restarts"],
     )
     np.savez(os.path.join(cfg.out, "artifacts.npz"),
              z=result.subspace.z, predicted=km.assignments,
@@ -382,18 +366,16 @@ def export_embeddings(run_dir, dest=None):
 
 def ablate(cfg, variants=VARIANTS):
     """Run several variants off one base config; returns {variant: RunReport}."""
+    variants = list(variants)
+    if (not variants or len(set(variants)) < len(variants)
+            or not set(variants) <= set(VARIANTS)):
+        raise ConfigError("variants must be distinct names, each "
+                          f"{_VARIANT_RULE}, got {variants}")
     reports = {}
     base_out = cfg.out
     for variant in variants:
-        sub = ExperimentConfig(
-            manifest=cfg.manifest, seed=cfg.seed, variant=variant,
-            clusters=cfg.clusters,
-            out=os.path.join(base_out, variant.replace("+", "_")),
-            k_neighbors=cfg.k_neighbors, mu=cfg.mu,
-            reconcile=dict(cfg.reconcile), network=dict(cfg.network),
-            clustering=dict(cfg.clustering),
-        )
-        reports[variant] = run(sub)
+        out = os.path.join(base_out, variant.replace("+", "_"))
+        reports[variant] = run(replace(cfg, variant=variant, out=out))
     summary = os.path.join(base_out, "ablation_summary.txt")
     os.makedirs(base_out, exist_ok=True)
     with open(summary, "w") as fh:

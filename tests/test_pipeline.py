@@ -84,6 +84,13 @@ def test_load_config_overrides(tmp_path):
         load_config(small_config(tmp_path), {"experiment.nope": 1})
 
 
+def test_load_config_takes_percent_signs_literally(tmp_path):
+    path = tmp_path / "pct.cfg"
+    path.write_text("[experiment]\nmanifest = m%1.txt\nout = 100%\n")
+    cfg = load_config(str(path))
+    assert cfg.out == "100%" and cfg.manifest.endswith("m%1.txt")
+
+
 def test_run_full_writes_artifacts(tmp_path):
     cfg = load_config(small_config(tmp_path))
     report = run(cfg)
@@ -200,6 +207,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     # config error: bad variant override
     cfg = small_config(tmp_path)
     assert main(["run", "--config", cfg, "--variant", "BOGUS"]) == 2
+    # config error: negative seed override
+    assert main(["run", "--config", cfg, "--seed", "-1"]) == 2
+    assert not (tmp_path / "out").exists()
     # config errors: out-of-range or unreadable values, each reported in one
     # line before any stage runs
     for section, key, value in (
@@ -222,10 +232,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("network", "initial_fraction", "0"),
         ("network", "full_inclusion_fraction", "1.5"),
         ("network", "epochs", "ten"),
+        ("experiment", "seed", "-1"),
+        ("experiment", "clusters", "-3"),
+        ("experiment", "out", ""),
+        ("data", "k_neighbors", "-5"),
     ):
+        sections = {"experiment": {"manifest": load_config(cfg).manifest,
+                                   "out": tmp_path / "out"}}
+        sections.setdefault(section, {})[key] = value
         bad = tmp_path / "bad.cfg"
-        bad.write_text(f"[experiment]\nmanifest = {load_config(cfg).manifest}\n"
-                       f"out = {tmp_path / 'out'}\n[{section}]\n{key} = {value}\n")
+        bad.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items()))
         capsys.readouterr()
         assert main(["run", "--config", str(bad)]) == 2, (section, key, value)
         err = capsys.readouterr().err
@@ -244,7 +262,32 @@ def test_cli_ablate_subset(tmp_path, capsys):
     assert main(["ablate", "--config", cfg, "--variants", "NONE",
                  "--out", str(tmp_path / "abl")]) == 0
     assert "NONE" in capsys.readouterr().out
-    assert main(["ablate", "--config", cfg, "--variants", "NOPE"]) == 2
+    for variants in ("NOPE", "", "NONE,NONE"):
+        out = tmp_path / "bad_abl"
+        capsys.readouterr()
+        assert main(["ablate", "--config", cfg, "--variants", variants,
+                     "--out", str(out)]) == 2, variants
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+    with pytest.raises(ConfigError, match="BOGUS"):
+        ablate(load_config(cfg, {"experiment.out": str(tmp_path / "lib")}),
+               ["BOGUS"])
+    assert not (tmp_path / "lib").exists()
+
+
+def test_cli_more_clusters_or_neighbors_than_samples_fail_before_any_output(
+        tmp_path, capsys):
+    cfg = small_config(tmp_path, n=60)
+    for extra in ("clusters = 500\n[reconcile]",
+                  "[data]\nk_neighbors = 500\n[reconcile]"):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(open(cfg).read().replace("[reconcile]", extra))
+        capsys.readouterr()
+        assert main(["run", "--config", str(bad)]) == 3, extra
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 def test_three_view_full_run_is_identical_across_blas_threads(tmp_path):
