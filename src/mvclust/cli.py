@@ -8,8 +8,6 @@ import argparse
 import logging
 import sys
 
-import numpy as np
-
 from . import cluster as clu
 from . import data as dat
 from . import pipeline as pl
@@ -69,15 +67,6 @@ def _load_cfg(args):
     return pl.load_config(args.config, overrides)
 
 
-def _read_label_file(path):
-    try:
-        return np.loadtxt(path, dtype=float).astype(int)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
@@ -111,8 +100,11 @@ def main(argv=None):
             dest = pl.export_embeddings(args.run_dir, args.dest)
             print(f"wrote {dest}")
         elif args.command == "eval":
-            pred = _read_label_file(args.pred)
-            truth = _read_label_file(args.truth)
+            pred = dat.read_labels(args.pred)
+            truth = dat.read_labels(args.truth)
+            if len(pred) != len(truth):
+                raise DataError(f"{args.pred} has {len(pred)} labels, "
+                                f"{args.truth} has {len(truth)}")
             print(clu.format_report(clu.evaluate(pred, truth)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

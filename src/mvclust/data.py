@@ -61,62 +61,82 @@ class NeighborPartition:
         return len(self.anchor_distances)
 
 
-def _read_csv_matrix(path):
-    if not os.path.exists(path):
-        raise DataError(f"file not found: {path}")
-    rows = []
-    with open(path) as fh:
-        for r, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.replace(";", ",").split(",")
-            vals = []
-            for c, cell in enumerate(cells):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric cell at row {r + 1}, column {c + 1}: {cell!r}"
-                    ) from None
-            rows.append(vals)
+def _read_table(path):
+    """Read a headerless numeric table; returns it with the file's lines.
+
+    ``;`` and ``,`` both separate cells, and blank or whitespace-only lines are
+    skipped. Numpy parses the table in one call; only when that fails are the
+    lines walked again, to name the fault by its 1-based line and column.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().replace(";", ",").split("\n")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not {exc.encoding} text") from None
+    rows = [line for line in lines if line.strip()]
     if not rows:
         raise DataError(f"{path}: empty file")
-    width = len(rows[0])
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
-    return np.array(rows, dtype=float)
+    try:
+        return np.loadtxt(rows, delimiter=",", ndmin=2, comments=None), lines
+    except ValueError:
+        raise DataError(_first_fault(path, lines)) from None
 
 
-def _read_labels(path):
-    if not os.path.exists(path):
-        raise DataError(f"label file not found: {path}")
-    labels = []
-    with open(path) as fh:
-        for r, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(float(line)))
-            except ValueError:
-                raise DataError(f"{path}: non-integer label at line {r + 1}: {line!r}") from None
-    return np.array(labels, dtype=int)
+def _is_number(cell):
+    # numpy's float parser is float() without digit underscores or non-ASCII digits
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return "_" not in cell and cell.strip().isascii()
+
+
+def _first_fault(path, lines):
+    """The first line numpy refused, in words with 1-based line and column."""
+    width = None
+    for r, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        cells = line.strip().split(",")
+        for c, cell in enumerate(cells, 1):
+            if not _is_number(cell):
+                return f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}"
+        width = width or len(cells)
+        if len(cells) != width:
+            return f"{path}: row {r} has {len(cells)} cells, expected {width}"
+    return f"{path}: not a numeric table"
+
+
+def read_labels(path):
+    """Read a label file: one integer per line, blank lines skipped."""
+    table, lines = _read_table(path)
+    if table.shape[1] != 1:
+        raise DataError(f"{path}: {table.shape[1]} cells per row, expected one "
+                        "integer label per line")
+    labels = table[:, 0]
+    # nan, inf and |x| >= 2**53 fail too: past 2**53 a float is no exact integer
+    bad = ~((np.floor(labels) == labels) & (np.abs(labels) < 2**53))
+    if bad.any():
+        r = [r for r, line in enumerate(lines, 1) if line.strip()][np.argmax(bad)]
+        raise DataError(f"{path}: label at row {r} is not an integer below 2**53: "
+                        f"{lines[r - 1].strip()!r}")
+    return labels.astype(int)
 
 
 def load_views(paths, label_path=None):
     """Load one CSV per view (rows = samples, no header) into a dataset."""
     if len(paths) < 2:
         raise DataError(f"need at least 2 view files, got {len(paths)}")
-    views = [_read_csv_matrix(p) for p in paths]
+    views = [_read_table(p)[0] for p in paths]
     n0 = views[0].shape[0]
     for p, v in zip(paths[1:], views[1:]):
         if v.shape[0] != n0:
             raise DataError(
                 f"row-count mismatch: {paths[0]} has {n0} rows, {p} has {v.shape[0]}"
             )
-    labels = _read_labels(label_path) if label_path else None
+    labels = read_labels(label_path) if label_path else None
     return MultiViewDataset(views, labels)
 
 
@@ -228,6 +248,13 @@ def make_synthetic(out_dir, clusters, samples, views=2, noise=0.1, seed=0,
         raise DataError("need at least 2 clusters")
     if samples < clusters * 10:
         raise DataError(f"need at least {clusters * 10} samples for {clusters} clusters")
+    if views < 2:
+        raise DataError(f"need at least 2 views, got {views}")
+    for name, value in (("noise", noise), ("outlier_scale", outlier_scale)):
+        if not 0 <= value < np.inf:
+            raise DataError(f"{name} must be finite and >= 0, got {value}")
+    if not 0 <= outlier_fraction <= 1:
+        raise DataError(f"outlier_fraction must be in [0, 1], got {outlier_fraction}")
     rng = np.random.default_rng(seed)
     if view_dims is None:
         view_dims = [base_dim * 3 + 2 * i for i in range(views)]

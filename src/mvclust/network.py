@@ -339,32 +339,3 @@ def save_checkpoint(model, path):
                 arrays[f"v{i}_{name}_w{l}"] = w
                 arrays[f"v{i}_{name}_b{l}"] = b
     np.savez(path, **arrays)
-
-
-def load_checkpoint(model, path):
-    """Restore parameters into a structurally identical model.
-
-    Every array is shape-checked before any is copied, and the copies go into
-    the existing parameter views, so they stay part of each net's flat vector.
-    """
-    data = np.load(path)
-    if int(data["version"][0]) != CHECKPOINT_VERSION:
-        raise ShapeError(f"unsupported checkpoint version {data['version'][0]}")
-    if int(data["n_views"][0]) != model.n_views:
-        raise ShapeError("checkpoint view count does not match the model")
-    if int(data["latent_width"][0]) != model.latent_width:
-        raise ShapeError("checkpoint latent width does not match the model")
-    copies = []
-    for i, vn in enumerate(model.views):
-        for name, net in (("enc", vn.encoder), ("gen", vn.generator),
-                          ("disc", vn.discriminator)):
-            for l, (w, b) in enumerate(zip(net.params.weights, net.params.biases)):
-                for key, view in ((f"v{i}_{name}_w{l}", w), (f"v{i}_{name}_b{l}", b)):
-                    saved = data[key]
-                    if saved.shape != view.shape:
-                        raise ShapeError(
-                            f"checkpoint shape mismatch at {key}: "
-                            f"{saved.shape} vs {view.shape}")
-                    copies.append((view, saved))
-    for view, saved in copies:
-        view[...] = saved

@@ -201,6 +201,14 @@ def _pick_best_view(dataset, clusters, seed, restarts, max_iter):
     return best
 
 
+def _make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(
+            f"experiment.out: cannot create {path}: {exc.strerror}") from None
+
+
 def run(cfg):
     """Execute one experiment; writes reports into cfg.out and returns a RunReport."""
     started = time.time()
@@ -223,7 +231,7 @@ def run(cfg):
     partitions = [dat.build_partition(dataset, v, anchor, k)
                   for v in range(n_views)]
     raw_assignment = dif.assignment_from_partitions(partitions, cfg.mu)
-    os.makedirs(cfg.out, exist_ok=True)
+    _make_out_dir(cfg.out)
 
     use_ais = cfg.variant in ("AIS+CS", "FULL")
     use_cs = cfg.variant != "NONE"
@@ -377,7 +385,7 @@ def ablate(cfg, variants=VARIANTS):
         out = os.path.join(base_out, variant.replace("+", "_"))
         reports[variant] = run(replace(cfg, variant=variant, out=out))
     summary = os.path.join(base_out, "ablation_summary.txt")
-    os.makedirs(base_out, exist_ok=True)
+    _make_out_dir(base_out)
     with open(summary, "w") as fh:
         fh.write("variant  acc     nmi     purity\n")
         for variant, rep in reports.items():

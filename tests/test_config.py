@@ -69,7 +69,8 @@ def test_every_invalid_value_exits_2_naming_its_key(manifest, section, key, data
 
 
 def test_readme_config_reference_matches_schema():
-    text = open(README).read()
+    with open(README) as fh:
+        text = fh.read()
     start = text.index("```ini\n", text.index("### Config reference")) + len("```ini\n")
     documented, section = {}, None
     for line in text[start:text.index("```", start)].splitlines():

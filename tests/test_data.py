@@ -5,7 +5,7 @@ import pytest
 
 from mvclust.data import (MultiViewDataset, build_partition, load_manifest,
                           load_views, make_synthetic, normalize_view,
-                          read_manifest)
+                          read_labels, read_manifest)
 from mvclust.errors import DataError
 
 from conftest import rel_err
@@ -47,6 +47,34 @@ def test_non_numeric_cell_reports_position(tmp_path):
     p.write_text("1.0,2.0\n3.0,oops\n")
     with pytest.raises(DataError, match="row 2, column 2"):
         load_views([str(p), str(p)])
+
+
+@pytest.mark.parametrize("kind,text,expected", [
+    ("view", "1;2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("view", "1,2\n\n  \n\t\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("labels", "0\n\n2\n \n1\n", [0, 2, 1]),
+    ("view", "", "empty file"),
+    ("view", "\n  \n", "empty file"),
+    ("labels", "", "empty file"),
+    ("view", "1,2\n\n3\n", "row 3 has 1 cells, expected 2"),
+    ("view", "# header\n1,2\n", "non-numeric cell at row 1, column 1"),
+    ("labels", "1,2\n", "2 cells per row"),
+    ("labels", "0\n\n2.7\n", "label at row 3 is not an integer .*: '2.7'"),
+    ("labels", "1\nnan\n", "label at row 2 is not an integer .*: 'nan'"),
+    ("labels", "1e20\n", "label at row 1 is not an integer .*: '1e20'"),
+])
+def test_reader_contract(tmp_path, kind, text, expected):
+    p = tmp_path / "f.csv"
+    p.write_text(text)
+    read = {"view": lambda path: load_views([path, path]).views[0],
+            "labels": read_labels}[kind]
+    if isinstance(expected, str):
+        with pytest.raises(DataError, match=expected):
+            read(str(p))
+    else:
+        got = read(str(p))
+        np.testing.assert_array_equal(got, expected)
+        assert got.dtype == (int if kind == "labels" else float)
 
 
 def test_zscore_normalization():

@@ -3,11 +3,11 @@ import pytest
 
 from mvclust.data import MultiViewDataset, make_synthetic, load_manifest
 from mvclust.errors import ShapeError
-from mvclust.nets import AdamState, MlpParams, MlpSpec, Net, adam_step
+from mvclust.nets import MlpParams, MlpSpec, Net, adam_step
 from mvclust.network import (GOLDEN_SECTION, ViewNets, _ViewOptimizers,
                              _gan_round, adversarial_losses, ae_loss_closed,
                              ae_loss_open, build_model, fuse_subspace, gate,
-                             load_checkpoint, save_checkpoint, train)
+                             train)
 from mvclust.sampling import PaceSchedule, pace_value, selection_mask
 
 from conftest import assert_grads_close, numerical_grads, rel_err
@@ -230,55 +230,6 @@ def test_training_log_written(tmp_path, rng):
     lines = log_path.read_text().strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("epoch,lambda,mask_size,gate")
-
-
-def test_checkpoint_roundtrip(tmp_path, rng):
-    ds = blob_dataset(tmp_path, n=100)
-    dims = [v.shape[1] for v in ds.views]
-    model = build_model(dims, 4, rng, hidden=(8,))
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(model, str(path))
-    other = build_model(dims, 4, np.random.default_rng(99), hidden=(8,))
-    load_checkpoint(other, str(path))
-    for vn_a, vn_b in zip(model.views, other.views):
-        for net_a, net_b in ((vn_a.encoder, vn_b.encoder),
-                             (vn_a.generator, vn_b.generator),
-                             (vn_a.discriminator, vn_b.discriminator)):
-            for w1, w2 in zip(net_a.params.weights, net_b.params.weights):
-                np.testing.assert_array_equal(w1, w2)
-
-
-def test_checkpoint_rejects_bias_shape_mismatch(tmp_path, rng):
-    model = build_model([5, 3], 4, rng, hidden=(8,))
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(model, str(path))
-    arrays = dict(np.load(path))
-    arrays["v1_gen_b0"] = np.zeros(9)   # weights keep their shapes
-    np.savez(path, **arrays)
-    other = build_model([5, 3], 4, np.random.default_rng(99), hidden=(8,))
-    before = [vn.generator.params.flat.copy() for vn in other.views]
-    with pytest.raises(ShapeError, match="v1_gen_b0"):
-        load_checkpoint(other, str(path))
-    # nothing was copied before the mismatch was found
-    for vn, flat in zip(other.views, before):
-        np.testing.assert_array_equal(vn.generator.params.flat, flat)
-
-
-def test_checkpoint_loads_into_the_flat_vectors(tmp_path, rng):
-    model = build_model([5, 3], 4, rng, hidden=(8,))
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(model, str(path))
-    other = build_model([5, 3], 4, np.random.default_rng(99), hidden=(8,))
-    load_checkpoint(other, str(path))
-    net, source = other.views[0].encoder, model.views[0].encoder
-    for block in net.blocks():
-        assert np.shares_memory(block, net.params.flat)
-    np.testing.assert_array_equal(net.params.flat, source.params.flat)
-    loaded = [b.copy() for b in net.blocks()]
-    adam_step(AdamState(learning_rate=0.1), net.params.flat,
-              np.ones(net.spec.size))
-    for block, was in zip(net.blocks(), loaded):
-        np.testing.assert_allclose(block, was - 0.1, rtol=0, atol=1e-8)
 
 
 # --- open-gate latent cache against a loop that re-encodes every view ---------

@@ -152,12 +152,14 @@ def test_export_embeddings_roundtrip(tmp_path):
     cfg = load_config(small_config(tmp_path))
     run(cfg)
     dest = export_embeddings(cfg.out)
-    lines = open(dest).read().strip().splitlines()
+    with open(dest) as fh:
+        lines = fh.read().strip().splitlines()
     assert lines[0] == "z0,z1,z2,z3,z4,z5,cluster"
     assert len(lines) == 121
     # re-export is byte identical
     again = export_embeddings(cfg.out, str(tmp_path / "again.csv"))
-    assert open(dest, "rb").read() == open(again, "rb").read()
+    with open(dest, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_ablate_runs_all_variants(tmp_path):
@@ -211,31 +213,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--seed", "-1"]) == 2
     assert not (tmp_path / "out").exists()
     # config errors: out-of-range or unreadable values, each reported in one
-    # line before any stage runs
-    for section, key, value in (
-        ("reconcile", "batch_size", "0"),
-        ("reconcile", "t_steps", "0"),
-        ("reconcile", "epochs", "0"),
-        ("reconcile", "embed_width", "0"),
-        ("reconcile", "head_width", "0"),
-        ("reconcile", "margin", "-1"),
-        ("reconcile", "learning_rate", "-1"),
-        ("reconcile", "learning_rate", "0"),
-        ("reconcile", "sim_weight", "-5"),
-        ("reconcile", "adv_weight", "inf"),
-        ("reconcile", "pseudo_label", "nan"),
-        ("network", "learning_rate", "nan"),
-        ("clustering", "restarts", "0"),
-        ("clustering", "max_iter", "0"),
-        ("clustering", "max_iter", "-3"),
-        ("network", "hidden", "64,,32"),
-        ("network", "initial_fraction", "0"),
-        ("network", "full_inclusion_fraction", "1.5"),
-        ("network", "epochs", "ten"),
-        ("experiment", "seed", "-1"),
-        ("experiment", "clusters", "-3"),
-        ("experiment", "out", ""),
-        ("data", "k_neighbors", "-5"),
+    # line before any stage runs; and a data error, experiment.out naming an
+    # existing file
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for section, key, value, code in (
+        ("reconcile", "batch_size", "0", 2),
+        ("reconcile", "t_steps", "0", 2),
+        ("reconcile", "epochs", "0", 2),
+        ("reconcile", "embed_width", "0", 2),
+        ("reconcile", "head_width", "0", 2),
+        ("reconcile", "margin", "-1", 2),
+        ("reconcile", "learning_rate", "-1", 2),
+        ("reconcile", "learning_rate", "0", 2),
+        ("reconcile", "sim_weight", "-5", 2),
+        ("reconcile", "adv_weight", "inf", 2),
+        ("reconcile", "pseudo_label", "nan", 2),
+        ("network", "learning_rate", "nan", 2),
+        ("clustering", "restarts", "0", 2),
+        ("clustering", "max_iter", "0", 2),
+        ("clustering", "max_iter", "-3", 2),
+        ("network", "hidden", "64,,32", 2),
+        ("network", "initial_fraction", "0", 2),
+        ("network", "full_inclusion_fraction", "1.5", 2),
+        ("network", "epochs", "ten", 2),
+        ("experiment", "seed", "-1", 2),
+        ("experiment", "clusters", "-3", 2),
+        ("experiment", "out", "", 2),
+        ("data", "k_neighbors", "-5", 2),
+        ("experiment", "out", afile, 3),
     ):
         sections = {"experiment": {"manifest": load_config(cfg).manifest,
                                    "out": tmp_path / "out"}}
@@ -245,16 +251,47 @@ def test_cli_exit_codes(tmp_path, capsys):
             f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
             for name, keys in sections.items()))
         capsys.readouterr()
-        assert main(["run", "--config", str(bad)]) == 2, (section, key, value)
+        assert main(["run", "--config", str(bad)]) == code, (section, key, value)
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and f"{section}.{key}" in err
+        assert err.startswith({2: "config error: ", 3: "data error: "}[code])
+        assert f"{section}.{key}" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
     # data error: export from a directory with no artifacts
     assert main(["export", "--run-dir", str(tmp_path)]) == 3
-    # data error: unreadable label file for eval
-    assert main(["eval", "--pred", str(tmp_path / "no.txt"),
-                 "--truth", str(tmp_path / "no.txt")]) == 3
+    # data errors, each in one line: unreadable, malformed or unequal label
+    # files for eval (rows numbered from 1, blank lines counted), bad synth
+    # flags, and ablate into an existing file
+    good, short, broken = (tmp_path / name
+                           for name in ("good", "short", "broken"))
+    good.write_text("0\n1\n1\n")
+    short.write_text("0\n1\n")
+    broken.write_text("0\n\n1,oops\n")
+    for argv, expected in (
+        (["eval", "--pred", str(tmp_path / "no.txt"),
+          "--truth", str(tmp_path / "no.txt")], "no.txt"),
+        (["eval", "--pred", str(good), "--truth", str(short)],
+         f"{good} has 3 labels, {short} has 2"),
+        (["eval", "--pred", str(broken), "--truth", str(good)],
+         "non-numeric cell at row 3, column 2"),
+        (["synth", "--out", str(tmp_path / "blobs"), "--views", "1"], "views"),
+        (["synth", "--out", str(tmp_path / "blobs"), "--noise", "-1"], "noise"),
+        (["synth", "--out", str(tmp_path / "blobs"), "--noise", "nan"], "noise"),
+        (["synth", "--out", str(tmp_path / "blobs"), "--outlier-scale", "-1"],
+         "outlier_scale"),
+        (["synth", "--out", str(tmp_path / "blobs"), "--outlier-fraction", "2"],
+         "outlier_fraction"),
+        (["synth", "--out", str(tmp_path / "blobs"), "--outlier-fraction", "-0.5"],
+         "outlier_fraction"),
+        (["ablate", "--config", cfg, "--variants", "NONE", "--out", str(afile)],
+         "experiment.out"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and expected in err, argv
+        assert err.count("\n") == 1
+    assert not (tmp_path / "blobs").exists()
 
 
 def test_cli_ablate_subset(tmp_path, capsys):
@@ -282,7 +319,8 @@ def test_cli_more_clusters_or_neighbors_than_samples_fail_before_any_output(
     for extra in ("clusters = 500\n[reconcile]",
                   "[data]\nk_neighbors = 500\n[reconcile]"):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(open(cfg).read().replace("[reconcile]", extra))
+        with open(cfg) as fh:
+            bad.write_text(fh.read().replace("[reconcile]", extra))
         capsys.readouterr()
         assert main(["run", "--config", str(bad)]) == 3, extra
         err = capsys.readouterr().err
