@@ -43,7 +43,7 @@ def _lloyd(z, centers, max_iter):
         d2 = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2.argmin(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
-            break
+            return centers, new_assign  # converged: the centers did not move
         assign = new_assign
         for q in range(c):
             members = z[assign == q]
@@ -54,9 +54,9 @@ def _lloyd(z, centers, max_iter):
                 far = ((z - centers[assign]) ** 2).sum(axis=1).argmax()
                 centers[q] = z[far]
                 assign[far] = q
+    # max_iter ran out: assign to the centers the last update left
     d2 = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    assign = d2.argmin(axis=1)
-    return centers, assign
+    return centers, d2.argmin(axis=1)
 
 
 def kmeans(z, c, max_iter=100, seed=0, restarts=20):
@@ -86,14 +86,11 @@ def _contingency(pred, truth):
         raise DataError("empty label vectors")
     if pred.shape != truth.shape:
         raise ShapeError(f"label lengths differ: {pred.shape} vs {truth.shape}")
-    pred_ids = np.unique(pred)
-    truth_ids = np.unique(truth)
-    table = np.zeros((len(pred_ids), len(truth_ids)), dtype=int)
-    pmap = {v: i for i, v in enumerate(pred_ids)}
-    tmap = {v: i for i, v in enumerate(truth_ids)}
-    for p, t in zip(pred, truth):
-        table[pmap[p], tmap[t]] += 1
-    return table
+    pred_ids, p = np.unique(pred, return_inverse=True)
+    truth_ids, t = np.unique(truth, return_inverse=True)
+    shape = (len(pred_ids), len(truth_ids))
+    cells = np.ravel_multi_index((p.ravel(), t.ravel()), shape)
+    return np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def accuracy(pred, truth):

@@ -61,6 +61,17 @@ class NeighborPartition:
         return len(self.anchor_distances)
 
 
+def _read_text(path):
+    """A text file's contents; one that cannot be opened or decoded is a DataError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not {exc.encoding} text") from None
+
+
 def _read_table(path):
     """Read a headerless numeric table; returns it with the file's lines.
 
@@ -68,13 +79,7 @@ def _read_table(path):
     skipped. Numpy parses the table in one call; only when that fails are the
     lines walked again, to name the fault by its 1-based line and column.
     """
-    try:
-        with open(path) as fh:
-            lines = fh.read().replace(";", ",").split("\n")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"cannot read {path}: not {exc.encoding} text") from None
+    lines = _read_text(path).replace(";", ",").split("\n")
     rows = [line for line in lines if line.strip()]
     if not rows:
         raise DataError(f"{path}: empty file")
@@ -195,28 +200,25 @@ def read_manifest(path):
 
     Paths are resolved relative to the manifest location.
     """
-    if not os.path.exists(path):
-        raise DataError(f"manifest not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
     views, labels, normalize = [], None, "zscore"
-    with open(path) as fh:
-        for r, line in enumerate(fh):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}: line {r + 1} is not 'key = value'")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key == "view":
-                views.append(os.path.join(base, value))
-            elif key == "labels":
-                labels = os.path.join(base, value)
-            elif key == "normalize":
-                if value not in ("zscore", "minmax", "none"):
-                    raise DataError(f"{path}: unknown normalize mode {value!r}")
-                normalize = value
-            else:
-                raise DataError(f"{path}: unknown manifest key {key!r}")
+    for r, line in enumerate(_read_text(path).split("\n")):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}: line {r + 1} is not 'key = value'")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key == "view":
+            views.append(os.path.join(base, value))
+        elif key == "labels":
+            labels = os.path.join(base, value)
+        elif key == "normalize":
+            if value not in ("zscore", "minmax", "none"):
+                raise DataError(f"{path}: unknown normalize mode {value!r}")
+            normalize = value
+        else:
+            raise DataError(f"{path}: unknown manifest key {key!r}")
     if len(views) < 2:
         raise DataError(f"{path}: a manifest needs at least 2 'view' entries")
     return {"views": views, "labels": labels, "normalize": normalize}

@@ -3,7 +3,9 @@
 A run loads a dataset manifest, builds anchor partitions and difficulty
 labels, optionally reconciles them adversarially, computes sampling
 probabilities, trains the multi-view network under the requested variant,
-then clusters the common subspace and reports ACC/NMI/Purity.
+then clusters the common subspace and reports ACC/NMI/Purity. ``ablate``
+runs the stages its variants share (load and partition, reconciliation, best
+view) once per call.
 
 Variants (ablation switches):
   NONE    no reconciliation, no sampling, gate forced open from epoch 0
@@ -19,6 +21,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +35,8 @@ from .errors import ConfigError, DataError
 log = logging.getLogger(__name__)
 
 VARIANTS = ("NONE", "CS", "CS+GS", "AIS+CS", "FULL")
+_RECONCILED = ("AIS+CS", "FULL")
+_GATED = ("CS+GS", "FULL")
 
 _VARIANT_RULE = "one of " + ", ".join(VARIANTS)
 
@@ -187,6 +192,79 @@ class RunReport:
     log_rows: list = field(default_factory=list)
 
 
+@dataclass
+class Prepared:
+    """What every variant of a config starts from."""
+
+    dataset: dat.MultiViewDataset
+    clusters: int
+    partitions: list                  # one NeighborPartition per view
+    raw_assignment: dif.DifficultyAssignment
+
+
+@dataclass
+class Reconciled:
+    """Difficulty labels after reconciliation (the raw ones if no pair disagrees)."""
+
+    assignment: dif.DifficultyAssignment
+    n_pairs: int = 0
+    sim_rate: float = float("nan")
+
+
+def _prepare(cfg):
+    """Stage 1: dataset, cluster count, shared anchor, partitions, raw labels."""
+    dataset = dat.load_manifest(cfg.manifest)
+    n = dataset.n
+    clusters = cfg.clusters
+    if clusters < 1:
+        if dataset.labels is None:
+            raise ConfigError(
+                "experiment.clusters must be set when the dataset has no labels"
+            )
+        clusters = len(np.unique(dataset.labels))
+    if clusters > n:
+        raise DataError(f"cannot form {clusters} clusters from {n} samples")
+    rng = np.random.default_rng(cfg.seed)
+    anchor = int(rng.integers(n))  # shared across views
+    k = cfg.k_neighbors if cfg.k_neighbors > 0 else n // 2
+    partitions = [dat.build_partition(dataset, v, anchor, k)
+                  for v in range(dataset.n_views)]
+    raw_assignment = dif.assignment_from_partitions(partitions, cfg.mu)
+    return Prepared(dataset, clusters, partitions, raw_assignment)
+
+
+def _reconcile(cfg, prep):
+    """Stage 2 (AIS+CS, FULL): train the reconciler on the inconsistent pairs
+    and let it settle every cross-view disagreement."""
+    pairs = dif.collect_inconsistent(prep.raw_assignment.labels)
+    if not pairs:
+        return Reconciled(prep.raw_assignment)
+    dataset = prep.dataset
+    rc = cfg.reconcile
+    model = dif.build_reconciler(
+        [v.shape[1] for v in dataset.views],
+        np.random.default_rng(cfg.seed + 1),
+        embed_width=rc["embed_width"],
+        head_width=rc["head_width"],
+        margin=rc["margin"],
+        pseudo_label=rc["pseudo_label"],
+        sim_weight=rc["sim_weight"],
+        adv_weight=rc["adv_weight"],
+        learning_rate=rc["learning_rate"],
+    )
+    dif.train_reconciler(
+        model, dataset, pairs,
+        epochs=rc["epochs"],
+        batch_size=rc["batch_size"],
+        t_steps=rc["t_steps"],
+        seed=cfg.seed + 2,
+    )
+    assignment = dif.resolve_labels(model, dataset, prep.raw_assignment)
+    sim_rate = dif.similarity_direction_rate(model, dataset, pairs)
+    log.info("similarity direction rate after reconciliation: %.3f", sim_rate)
+    return Reconciled(assignment, len(pairs), sim_rate)
+
+
 def _pick_best_view(dataset, clusters, seed, restarts, max_iter):
     """The view whose raw features cluster best (needs labels); view 0 otherwise."""
     if dataset.labels is None:
@@ -201,6 +279,93 @@ def _pick_best_view(dataset, clusters, seed, restarts, max_iter):
     return best
 
 
+class _Shared:
+    """The stages every variant of one config shares, each run on first use.
+
+    ``ablate`` keeps one for the length of a call, so its variants load,
+    partition, reconcile and pick the best view once between them; ``run``
+    alone makes a fresh one. Nothing outlives the holder, so every call
+    redoes the work. Each stage reads only the base config's fields that no
+    variant changes (not ``variant`` or ``out``).
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    @cached_property
+    def prepared(self):
+        return _prepare(self.cfg)
+
+    @cached_property
+    def reconciled(self):
+        return _reconcile(self.cfg, self.prepared)
+
+    @cached_property
+    def best_view(self):
+        prep, cl = self.prepared, self.cfg.clustering
+        return _pick_best_view(prep.dataset, prep.clusters, self.cfg.seed,
+                               cl["restarts"], cl["max_iter"])
+
+
+def _sampling_weights(variant, shared, assignment):
+    """Stage 3: each sample's sampling weight, and the view it came from
+    (-1 unless the variant samples from the best single view)."""
+    prep = shared.prepared
+    if variant == "NONE":
+        return np.ones(prep.dataset.n), -1
+    best_view = -1 if variant in _RECONCILED else shared.best_view
+    state = smp.compute_probabilities(assignment, prep.partitions)
+    return (state.averaged if best_view < 0 else state.per_view[best_view],
+            best_view)
+
+
+def _train(cfg, dataset, weights):
+    """Stage 4: build and train the multi-view network; writes training_log.csv."""
+    nw = cfg.network
+    schedule = smp.PaceSchedule(
+        max_epochs=nw["epochs"],
+        initial_fraction=nw["initial_fraction"],
+        full_inclusion_epoch_fraction=nw["full_inclusion_fraction"],
+    )
+    model = net.build_model(
+        [v.shape[1] for v in dataset.views],
+        nw["latent_width"],
+        np.random.default_rng(cfg.seed + 3),
+        hidden=cfg.hidden_widths,
+    )
+    result = net.train(
+        model, dataset, weights, schedule, nw["epochs"],
+        batch_size=nw["batch_size"],
+        learning_rate=nw["learning_rate"],
+        seed=cfg.seed + 4,
+        force_gate_open=cfg.variant not in _GATED,
+        log_path=os.path.join(cfg.out, "training_log.csv"),
+    )
+    return model, result
+
+
+def _cluster(cfg, z, clusters):
+    """Stage 5: k-means on the common subspace."""
+    return clu.kmeans(
+        z, clusters,
+        max_iter=cfg.clustering["max_iter"],
+        seed=cfg.seed + 5,
+        restarts=cfg.clustering["restarts"],
+    )
+
+
+def _write(cfg, model, z, km, labels):
+    """Stage 6: artifacts, checkpoint and (with labels) the metrics."""
+    np.savez(os.path.join(cfg.out, "artifacts.npz"),
+             z=z, predicted=km.assignments, objective=np.array([km.objective]))
+    net.save_checkpoint(model, os.path.join(cfg.out, "checkpoint.npz"))
+    if labels is None:
+        return None
+    metrics = clu.evaluate(km.assignments, labels)
+    clu.write_report(metrics, os.path.join(cfg.out, "metrics.txt"))
+    return metrics
+
+
 def _make_out_dir(path):
     try:
         os.makedirs(path, exist_ok=True)
@@ -209,124 +374,33 @@ def _make_out_dir(path):
             f"experiment.out: cannot create {path}: {exc.strerror}") from None
 
 
-def run(cfg):
-    """Execute one experiment; writes reports into cfg.out and returns a RunReport."""
+def run(cfg, shared=None):
+    """Execute one experiment; writes reports into cfg.out and returns a RunReport.
+
+    The stages run in order: prepare, reconcile, sampling weights, train,
+    cluster, write. ``shared`` is ``ablate``'s holder of the stages its
+    variants share; without it, every stage runs here.
+    """
     started = time.time()
-    dataset = dat.load_manifest(cfg.manifest)
-    n = dataset.n
-    n_views = dataset.n_views
-    clusters = cfg.clusters
-    if clusters < 1:
-        if dataset.labels is None:
-            raise ConfigError(
-                "experiment.clusters must be set when the dataset has no labels"
-            )
-        clusters = len(np.unique(dataset.labels))
-    if clusters > n:
-        raise DataError(f"cannot form {clusters} clusters from {n} samples")
-
-    rng = np.random.default_rng(cfg.seed)
-    anchor = int(rng.integers(n))  # shared across views
-    k = cfg.k_neighbors if cfg.k_neighbors > 0 else n // 2
-    partitions = [dat.build_partition(dataset, v, anchor, k)
-                  for v in range(n_views)]
-    raw_assignment = dif.assignment_from_partitions(partitions, cfg.mu)
+    if shared is None:
+        shared = _Shared(cfg)
+    prep = shared.prepared
     _make_out_dir(cfg.out)
-
-    use_ais = cfg.variant in ("AIS+CS", "FULL")
-    use_cs = cfg.variant != "NONE"
-    use_gate = cfg.variant in ("CS+GS", "FULL")
-
-    n_pairs = 0
-    best_view = -1
-    sim_rate = float("nan")
-    if use_ais:
-        pairs = dif.collect_inconsistent(raw_assignment.labels)
-        n_pairs = len(pairs)
-        if pairs:
-            rc = cfg.reconcile
-            model = dif.build_reconciler(
-                [v.shape[1] for v in dataset.views],
-                np.random.default_rng(cfg.seed + 1),
-                embed_width=rc["embed_width"],
-                head_width=rc["head_width"],
-                margin=rc["margin"],
-                pseudo_label=rc["pseudo_label"],
-                sim_weight=rc["sim_weight"],
-                adv_weight=rc["adv_weight"],
-                learning_rate=rc["learning_rate"],
-            )
-            dif.train_reconciler(
-                model, dataset, pairs,
-                epochs=rc["epochs"],
-                batch_size=rc["batch_size"],
-                t_steps=rc["t_steps"],
-                seed=cfg.seed + 2,
-            )
-            assignment = dif.resolve_labels(model, dataset, raw_assignment)
-            sim_rate = dif.similarity_direction_rate(model, dataset, pairs)
-            log.info("similarity direction rate after reconciliation: %.3f",
-                     sim_rate)
-            dif.export_difficulty(raw_assignment, assignment,
+    if cfg.variant in _RECONCILED:
+        rec = shared.reconciled
+        if rec.n_pairs:
+            dif.export_difficulty(prep.raw_assignment, rec.assignment,
                                   os.path.join(cfg.out, "difficulty.csv"))
-        else:
-            assignment = raw_assignment
     else:
-        assignment = raw_assignment
-
-    nw = cfg.network
-    epochs = nw["epochs"]
-    schedule = smp.PaceSchedule(
-        max_epochs=epochs,
-        initial_fraction=nw["initial_fraction"],
-        full_inclusion_epoch_fraction=nw["full_inclusion_fraction"],
-    )
-    if not use_cs:
-        averaged = np.ones(n)
-    elif use_ais:
-        state = smp.compute_probabilities(assignment, partitions)
-        averaged = state.averaged
-    else:
-        best_view = _pick_best_view(
-            dataset, clusters, cfg.seed,
-            cfg.clustering["restarts"], cfg.clustering["max_iter"],
-        )
-        state = smp.compute_probabilities(assignment, partitions)
-        averaged = state.per_view[best_view]
-
-    mv_model = net.build_model(
-        [v.shape[1] for v in dataset.views],
-        nw["latent_width"],
-        np.random.default_rng(cfg.seed + 3),
-        hidden=cfg.hidden_widths,
-    )
-    result = net.train(
-        mv_model, dataset, averaged, schedule, epochs,
-        batch_size=nw["batch_size"],
-        learning_rate=nw["learning_rate"],
-        seed=cfg.seed + 4,
-        force_gate_open=not use_gate,
-        log_path=os.path.join(cfg.out, "training_log.csv"),
-    )
-
-    km = clu.kmeans(
-        result.subspace.z, clusters,
-        max_iter=cfg.clustering["max_iter"],
-        seed=cfg.seed + 5,
-        restarts=cfg.clustering["restarts"],
-    )
-    np.savez(os.path.join(cfg.out, "artifacts.npz"),
-             z=result.subspace.z, predicted=km.assignments,
-             objective=np.array([km.objective]))
-    net.save_checkpoint(mv_model, os.path.join(cfg.out, "checkpoint.npz"))
-
-    metrics = None
-    if dataset.labels is not None:
-        metrics = clu.evaluate(km.assignments, dataset.labels)
-        clu.write_report(metrics, os.path.join(cfg.out, "metrics.txt"))
+        rec = Reconciled(prep.raw_assignment)
+    weights, best_view = _sampling_weights(cfg.variant, shared, rec.assignment)
+    model, result = _train(cfg, prep.dataset, weights)
+    z = result.subspace.z
+    km = _cluster(cfg, z, prep.clusters)
+    metrics = _write(cfg, model, z, km, prep.dataset.labels)
 
     wall = time.time() - started
-    _write_run_info(cfg, wall, result, n_pairs, best_view, sim_rate)
+    _write_run_info(cfg, wall, result, rec.n_pairs, best_view, rec.sim_rate)
     return RunReport(
         variant=cfg.variant,
         seed=cfg.seed,
@@ -334,9 +408,9 @@ def run(cfg):
         wall_clock=wall,
         out_dir=cfg.out,
         gate_opened_epoch=result.gate_opened_epoch,
-        n_inconsistent_pairs=n_pairs,
+        n_inconsistent_pairs=rec.n_pairs,
         best_view=best_view,
-        similarity_direction_rate=sim_rate,
+        similarity_direction_rate=rec.sim_rate,
         log_rows=result.log_rows,
     )
 
@@ -373,7 +447,12 @@ def export_embeddings(run_dir, dest=None):
 
 
 def ablate(cfg, variants=VARIANTS):
-    """Run several variants off one base config; returns {variant: RunReport}."""
+    """Run several variants off one base config; returns {variant: RunReport}.
+
+    Each variant is one ``run``, in order, sharing one holder of the stages
+    that do not depend on the variant: they run the first time a variant
+    needs them, and again on the next call.
+    """
     variants = list(variants)
     if (not variants or len(set(variants)) < len(variants)
             or not set(variants) <= set(VARIANTS)):
@@ -381,9 +460,10 @@ def ablate(cfg, variants=VARIANTS):
                           f"{_VARIANT_RULE}, got {variants}")
     reports = {}
     base_out = cfg.out
+    shared = _Shared(cfg)
     for variant in variants:
         out = os.path.join(base_out, variant.replace("+", "_"))
-        reports[variant] = run(replace(cfg, variant=variant, out=out))
+        reports[variant] = run(replace(cfg, variant=variant, out=out), shared)
     summary = os.path.join(base_out, "ablation_summary.txt")
     _make_out_dir(base_out)
     with open(summary, "w") as fh:

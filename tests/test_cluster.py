@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mvclust import cluster
 from mvclust.cluster import (MetricReport, accuracy, evaluate, format_report,
                              kmeans, nmi, purity, write_report)
 from mvclust.errors import DataError, ShapeError
@@ -65,6 +66,54 @@ def test_kmeans_deterministic(rng):
     b = kmeans(x, 3, seed=11)
     np.testing.assert_array_equal(a.assignments, b.assignments)
     np.testing.assert_array_equal(a.centers, b.centers)
+
+
+def lloyd_with_final_pass(z, centers, max_iter):
+    """Lloyd's loop that always reassigns once more after it stops."""
+    c = centers.shape[0]
+    assign = None
+    for _ in range(max_iter):
+        d2 = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_assign = d2.argmin(axis=1)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for q in range(c):
+            members = z[assign == q]
+            if len(members):
+                centers[q] = members.mean(axis=0)
+            else:
+                far = ((z - centers[assign]) ** 2).sum(axis=1).argmax()
+                centers[q] = z[far]
+                assign[far] = q
+    d2 = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return centers, d2.argmin(axis=1)
+
+
+def test_kmeans_bytewise_equal_to_lloyd_with_final_pass(rng, monkeypatch):
+    # duplicated rows leave k-means++ seeds coinciding, so clusters go empty
+    repeated = np.repeat(rng.normal(size=(4, 2)), 5, axis=0)
+    cases = [(rng.normal(size=(n, d)), c) for n, d, c in
+             ((40, 2, 3), (90, 5, 4), (200, 3, 6))] + [(repeated, 6)]
+    for (x, c), seed, max_iter in itertools.product(cases, range(4),
+                                                    (1, 2, 100)):
+        got = kmeans(x, c, max_iter=max_iter, seed=seed, restarts=3)
+        with monkeypatch.context() as m:
+            m.setattr(cluster, "_lloyd", lloyd_with_final_pass)
+            ref = kmeans(x, c, max_iter=max_iter, seed=seed, restarts=3)
+        assert got.centers.tobytes() == ref.centers.tobytes()
+        assert got.assignments.tobytes() == ref.assignments.tobytes()
+        assert got.assignments.dtype == ref.assignments.dtype
+        assert got.objective == ref.objective
+
+
+def test_contingency_counts_arbitrary_label_ids():
+    pred = np.array([7, -2, 7, 3, 3, 7])
+    truth = np.array([10, 10, 0, 0, 0, 10])
+    # rows -2, 3, 7; columns 0, 10
+    np.testing.assert_array_equal(cluster._contingency(pred, truth),
+                                  [[0, 1], [2, 0], [1, 2]])
+    assert cluster._contingency(pred, truth).dtype == int
 
 
 def test_accuracy_hand_contingency():

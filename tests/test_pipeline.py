@@ -1,11 +1,14 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mvclust
+from mvclust import data, difficulty, pipeline
 from mvclust.cli import main
 from mvclust.data import make_synthetic
 from mvclust.errors import ConfigError
@@ -13,10 +16,10 @@ from mvclust.pipeline import (VARIANTS, ablate, export_embeddings, load_config,
                               run)
 
 
-def small_config(tmp_path, n=120, noise=0.1, data_seed=0):
+def small_config(tmp_path, n=120, noise=0.1, data_seed=0, views=2):
     """A fast experiment config over a fresh synthetic dataset."""
     data_dir = tmp_path / "data"
-    manifest = make_synthetic(str(data_dir), clusters=3, samples=n, views=2,
+    manifest = make_synthetic(str(data_dir), clusters=3, samples=n, views=views,
                               noise=noise, seed=data_seed)
     lines = [
         "[experiment]",
@@ -171,6 +174,47 @@ def test_ablate_runs_all_variants(tmp_path):
     assert os.path.isdir(os.path.join(cfg.out, "CS_GS"))
 
 
+def ablate_config(tmp_path, views):
+    return load_config(small_config(tmp_path, n=80, noise=0.3, views=views),
+                       {"network.epochs": 6, "reconcile.epochs": 2})
+
+
+@pytest.mark.parametrize("views", [2, 3])
+def test_ablate_runs_each_shared_stage_once_per_call(tmp_path, monkeypatch,
+                                                     views):
+    counts = Counter()
+    for module, name in ((data, "load_manifest"), (difficulty, "train_reconciler"),
+                         (pipeline, "_pick_best_view"), (pipeline, "run")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    cfg = ablate_config(tmp_path, views)
+    for calls in (1, 2):  # a second call on the same config redoes the work
+        reports = ablate(cfg)
+        assert reports["FULL"].n_inconsistent_pairs > 0
+        assert counts == {"load_manifest": calls, "train_reconciler": calls,
+                          "_pick_best_view": calls, "run": calls * len(VARIANTS)}
+
+
+@pytest.mark.parametrize("views", [2, 3])
+def test_ablate_outputs_match_independent_runs(tmp_path, views):
+    cfg = ablate_config(tmp_path, views)
+    ablate(cfg)
+    for variant in VARIANTS:
+        name = variant.replace("+", "_")
+        shared = tmp_path / "out" / name
+        alone = tmp_path / "alone" / name
+        run(replace(cfg, variant=variant, out=str(alone)))
+        files = sorted(os.listdir(shared))
+        assert files == sorted(os.listdir(alone))
+        assert ("difficulty.csv" in files) == (variant in ("AIS+CS", "FULL"))
+        for f in files:
+            if f != "run_info.txt":
+                assert (shared / f).read_bytes() == (alone / f).read_bytes(), \
+                    (variant, f)
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def test_cli_synth_and_run(tmp_path, capsys):
@@ -255,6 +299,19 @@ def test_cli_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith({2: "config error: ", 3: "data error: "}[code])
         assert f"{section}.{key}" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+    # data errors: a manifest that names a directory or is not text
+    undecodable = tmp_path / "undecodable.txt"
+    undecodable.write_bytes(b"view = \xff\xfe\n")
+    for manifest in (tmp_path, undecodable):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[experiment]\nmanifest = {manifest}\n"
+                       f"out = {tmp_path / 'out'}\n")
+        capsys.readouterr()
+        assert main(["run", "--config", str(bad)]) == 3, manifest
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {manifest}: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
     # data error: export from a directory with no artifacts
