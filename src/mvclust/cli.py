@@ -88,14 +88,7 @@ def main(argv=None):
         elif args.command == "ablate":
             cfg = _load_cfg(args)
             variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-            reports = pl.ablate(cfg, variants)
-            print("variant  acc     nmi     purity")
-            for variant, rep in reports.items():
-                if rep.metrics:
-                    print(f"{variant:<8} {rep.metrics.acc:.4f}  "
-                          f"{rep.metrics.nmi:.4f}  {rep.metrics.purity:.4f}")
-                else:
-                    print(f"{variant:<8} (no labels)")
+            print(pl.format_ablation(pl.ablate(cfg, variants)), end="")
         elif args.command == "export":
             dest = pl.export_embeddings(args.run_dir, args.dest)
             print(f"wrote {dest}")

@@ -50,7 +50,6 @@ class NeighborPartition:
     samples. ``anchor_distances`` has one entry per sample (anchor itself 0).
     """
 
-    view_index: int
     anchor_index: int
     positive: np.ndarray
     negative: np.ndarray
@@ -183,7 +182,7 @@ def build_partition(dataset, view_index, anchor_index, k_neighbors):
     order = others[np.argsort(dist[others], kind="stable")]
     positive = np.sort(order[:k_neighbors])
     negative = np.sort(order[k_neighbors:])
-    return NeighborPartition(view_index, anchor_index, positive, negative, dist)
+    return NeighborPartition(anchor_index, positive, negative, dist)
 
 
 # --- dataset manifests -------------------------------------------------------

@@ -27,7 +27,6 @@ class DifficultyAssignment:
 
     labels: np.ndarray    # (V, n) ints in {0, 1}
     regions: list         # per view: length-n array of 'P'/'N'/'A'
-    mu: float             # boundary factor used
 
     @property
     def n_views(self):
@@ -38,9 +37,8 @@ class DifficultyAssignment:
         return self.labels.shape[1]
 
     def copy(self):
-        return DifficultyAssignment(
-            self.labels.copy(), [r.copy() for r in self.regions], self.mu
-        )
+        return DifficultyAssignment(self.labels.copy(),
+                                    [r.copy() for r in self.regions])
 
 
 def assign_difficulty(partition, mu):
@@ -79,7 +77,7 @@ def assignment_from_partitions(partitions, mu):
         lab, reg = assign_difficulty(part, mu)
         labels.append(lab)
         regions.append(reg)
-    return DifficultyAssignment(np.stack(labels), regions, mu)
+    return DifficultyAssignment(np.stack(labels), regions)
 
 
 def collect_inconsistent(labels):
@@ -304,7 +302,7 @@ def _batch_losses_and_grads(model, stacked, embedder=True):
     gc, dadv_e = model.classifier.backward(
         c_cls, np.concatenate([dadv_pi, dadv_pj]))
     # classifier minimizes beta * L_adv
-    g_cls = beta * gc.flat / b
+    g_cls = beta * gc / b
     if not embedder:
         return sim / b, adv / b, None, g_cls
 

@@ -17,7 +17,7 @@ from .errors import NumericalError, ShapeError
 # Probabilities are clamped into this range before any logarithm.
 PROB_EPS = 1e-7
 
-_ACTIVATIONS = ("identity", "relu", "sigmoid", "tanh")
+_ACTIVATIONS = ("identity", "relu", "sigmoid")
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class MlpSpec:
 
     @cached_property
     def layout(self):
-        """(start, stop, shape) of each parameter block in ``blocks()`` order,
-        as offsets into the flat parameter vector."""
+        """(start, stop, shape) of each parameter block, weights then bias
+        per layer, as offsets into the flat parameter vector."""
         layout, start = [], 0
         for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
             for shape in ((fan_in, fan_out), (fan_out,)):
@@ -67,30 +67,16 @@ class MlpParams:
     """Weights (fan_in x fan_out) and biases, one pair per layer.
 
     Every block is a reshaped view into one contiguous float64 vector,
-    ``flat``, laid out in ``blocks()`` order, so a single ufunc call updates
-    or accumulates a whole network. The views are made on first use, so a
-    gradient that is only used whole costs none. Assign into a block in place
-    (``w[...] = value``): rebinding a list entry detaches it from ``flat``.
+    ``flat``, laid out as w0, b0, w1, b1, ..., so a single ufunc call updates
+    or accumulates a whole network. The views are made on first use. Assign
+    into a block in place (``w[...] = value``): rebinding a list entry
+    detaches it from ``flat``.
     """
 
-    def __init__(self, weights, biases):
-        """Pack copies of the given weights and biases into a fresh vector."""
-        blocks = [np.asarray(a, dtype=float)
-                  for pair in zip(weights, biases) for a in pair]
-        layout, start = [], 0
-        for a in blocks:
-            layout.append((start, start + a.size, a.shape))
-            start += a.size
-        self.flat = np.concatenate([a.ravel() for a in blocks])
-        self._layout = tuple(layout)
-
-    @classmethod
-    def from_flat(cls, flat, layout):
+    def __init__(self, flat, layout):
         """Parameters viewing ``flat`` (not a copy) in the given layout."""
-        params = cls.__new__(cls)
-        params.flat = flat
-        params._layout = layout
-        return params
+        self.flat = flat
+        self._layout = layout
 
     def _views(self, layout):
         return [self.flat[start:stop].reshape(shape) for start, stop, shape in layout]
@@ -103,23 +89,11 @@ class MlpParams:
     def biases(self):
         return self._views(self._layout[1::2])
 
-    def blocks(self):
-        """All parameter arrays in a fixed order (weights then biases per layer)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def copy(self):
-        return MlpParams.from_flat(self.flat.copy(), self._layout)
-
 
 def init_mlp(spec, rng, flat=None):
     """Glorot-uniform weights, zero biases, written into ``flat`` (a vector
     of ``spec.size``, by default a fresh one)."""
-    params = MlpParams.from_flat(np.empty(spec.size) if flat is None else flat,
-                                 spec.layout)
+    params = MlpParams(np.empty(spec.size) if flat is None else flat, spec.layout)
     for w, b in zip(params.weights, params.biases):
         fan_in, fan_out = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -133,9 +107,7 @@ def _act(name, z):
         return z
     if name == "relu":
         return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    return np.tanh(z)
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def _act_grad(name, z, a):
@@ -143,9 +115,7 @@ def _act_grad(name, z, a):
         return np.ones_like(z)
     if name == "relu":
         return (z > 0.0).astype(float)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    return 1.0 - a * a
+    return a * (1.0 - a)
 
 
 def mlp_forward(params, spec, x):
@@ -169,12 +139,12 @@ def mlp_forward(params, spec, x):
 
 
 def mlp_backward(params, spec, cache, grad_out, out=None):
-    """Backprop. Returns (parameter gradients as MlpParams, gradient w.r.t. input).
+    """Backprop. Returns (parameter gradient vector, gradient w.r.t. input).
 
-    The parameter gradients come back in the layout of ``params.flat``, in a
-    fresh vector, or added into ``out`` (a vector of ``spec.size``) when it is
-    given, so several passes can accumulate into one buffer, or into a slice
-    of a larger one.
+    The parameter gradient is laid out like ``params.flat``, in a fresh
+    vector, or added into ``out`` (a vector of ``spec.size``) when it is
+    given and returned as ``out``, so several passes can accumulate into one
+    buffer, or into a slice of a larger one.
     """
     if cache.get("widths") != spec.widths or len(cache["pre"]) != spec.n_layers:
         raise ShapeError("cache does not match this network")
@@ -202,7 +172,7 @@ def mlp_backward(params, spec, cache, grad_out, out=None):
     else:
         for (start, stop, _), block in zip(spec.layout, blocks):
             out[start:stop] += block
-    return MlpParams.from_flat(out, spec.layout), delta
+    return out, delta
 
 
 def clamp_prob(p):
@@ -296,9 +266,6 @@ class Net:
 
     def backward(self, cache, grad_out, out=None):
         return mlp_backward(self.params, self.spec, cache, grad_out, out)
-
-    def blocks(self):
-        return self.params.blocks()
 
 
 def make_net(widths, activations, rng):

@@ -109,7 +109,7 @@ def ae_loss_open(view_nets, x, z_common, n_views):
     loss = float(((r_hat ** 2).sum()
                   + lam * ((r_tilde ** 2).sum() + (r_z ** 2).sum())) / b)
     g_gen, d_z = view_nets.generator.backward(cache_g1, 2.0 * r_hat / b)
-    view_nets.generator.backward(cache_g2, 2.0 * lam * r_tilde / b, g_gen.flat)
+    view_nets.generator.backward(cache_g2, 2.0 * lam * r_tilde / b, g_gen)
     g_enc, _ = view_nets.encoder.backward(cache_e, d_z + 2.0 * lam * r_z / b)
     return loss, g_enc, g_gen
 
@@ -142,7 +142,7 @@ def adversarial_losses(view_nets, x, fake):
         cache_real, -in_real / p_real / b_real
     )
     view_nets.discriminator.backward(
-        cache_fake, in_fake / (1.0 - p_fake) / b_fake, disc_grads.flat
+        cache_fake, in_fake / (1.0 - p_fake) / b_fake, disc_grads
     )
     # generator descends gen_value => gradient w.r.t. fake inputs
     _, d_fake_for_gen = view_nets.discriminator.backward(
@@ -160,21 +160,14 @@ def fuse_subspace(per_view_z):
 
 
 @dataclass
-class CommonSubspace:
-    z: np.ndarray          # (n, p) fused latents
-    per_view: list         # per-view (n, p) latents
-
-
-@dataclass
 class TrainResult:
-    model: MultiViewModel
-    subspace: CommonSubspace
-    log_rows: list         # per-epoch dicts
+    z: np.ndarray           # (n, p) common subspace, one fused latent per sample
+    log_rows: list          # per-epoch dicts
     gate_opened_epoch: int  # -1 if the gate never opened
 
 
 class _ViewOptimizers:
-    def __init__(self, view_nets, learning_rate):
+    def __init__(self, learning_rate):
         self.encoder = AdamState(learning_rate=learning_rate)
         self.generator = AdamState(learning_rate=learning_rate)
         self.discriminator = AdamState(learning_rate=learning_rate)
@@ -192,16 +185,15 @@ def _gan_round(vn, opt, x, z, epoch, batch):
     fake, cache_g = vn.generator.forward(z)
     d_val, d_grads, g_val, d_fake = adversarial_losses(vn, x, fake)
     _check_finite(d_val, "discriminator value", epoch, batch)
-    adam_step(opt.discriminator, vn.discriminator.params.flat, d_grads.flat)
+    adam_step(opt.discriminator, vn.discriminator.params.flat, d_grads)
     g_gen, _ = vn.generator.backward(cache_g, d_fake)
-    adam_step(opt.generator, vn.generator.params.flat, g_gen.flat)
+    adam_step(opt.generator, vn.generator.params.flat, g_gen)
     return np.array([d_val, g_val])
 
 
-def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
-          learning_rate=1e-4, seed=0, force_gate_open=False, sigma=GOLDEN_SECTION,
-          log_path=None):
-    """The progressive training loop.
+def train(model, dataset, averaged_probs, schedule, batch_size=64,
+          learning_rate=1e-4, seed=0, force_gate_open=False, log_path=None):
+    """The progressive training loop, ``schedule.max_epochs`` epochs long.
 
     Per epoch: refresh the pace and selection mask, evaluate the gate, then run
     the closed-state (per-view autoencoder + GAN) or open-state (adds common
@@ -211,18 +203,18 @@ def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
     n = dataset.n
     n_views = dataset.n_views
     rng = np.random.default_rng(seed)
-    opts = [_ViewOptimizers(vn, learning_rate) for vn in model.views]
+    opts = [_ViewOptimizers(learning_rate) for _ in model.views]
     z_full = np.zeros((n, model.latent_width))
     ever_selected = np.zeros(n, dtype=bool)
     gate_opened_epoch = -1
     rows = []
 
-    for epoch in range(epochs):
+    for epoch in range(schedule.max_epochs):
         lam = pace_value(schedule, epoch, averaged_probs)
         mask = selection_mask(averaged_probs, lam)
         selected = np.nonzero(mask)[0]
         ever_selected[selected] = True
-        g = gate(len(selected), n, sigma)
+        g = gate(len(selected), n)
         gate_open = force_gate_open or g.open
         if gate_open and gate_opened_epoch < 0:
             gate_opened_epoch = epoch
@@ -258,8 +250,8 @@ def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
                 else:
                     loss, g_enc, g_gen = ae_loss_closed(vn, x)
                 _check_finite(loss, "reconstruction loss", epoch, n_batches)
-                adam_step(opt.encoder, vn.encoder.params.flat, g_enc.flat)
-                adam_step(opt.generator, vn.generator.params.flat, g_gen.flat)
+                adam_step(opt.encoder, vn.encoder.params.flat, g_enc)
+                adam_step(opt.generator, vn.generator.params.flat, g_gen)
                 ae_sums[i] += loss
 
                 # discriminator vs self-reconstruction; once the gate is
@@ -288,9 +280,8 @@ def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
         log.warning("gate never opened; emitting the fused per-view latents")
 
     # export-time fill: every row gets the current fused encoding
-    per_view = [model.views[i].encoder.forward(dataset.views[i])[0]
-                for i in range(n_views)]
-    fused_now = fuse_subspace(per_view)
+    fused_now = fuse_subspace([model.views[i].encoder.forward(dataset.views[i])[0]
+                               for i in range(n_views)])
     if gate_opened_epoch < 0:
         z_full = fused_now
     else:
@@ -298,8 +289,7 @@ def train(model, dataset, averaged_probs, schedule, epochs, batch_size=64,
 
     if log_path:
         write_training_log(rows, log_path)
-    return TrainResult(model, CommonSubspace(z_full, per_view), rows,
-                       gate_opened_epoch)
+    return TrainResult(z_full, rows, gate_opened_epoch)
 
 
 def write_training_log(rows, path):

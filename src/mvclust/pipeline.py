@@ -20,6 +20,7 @@ import logging
 import math
 import os
 import time
+import zipfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -146,11 +147,13 @@ def load_config(path, overrides=None):
 
     ``overrides`` maps "section.key" to replacement values (CLI flags).
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = dat._read_text(path)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
+        parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     given = {}
@@ -334,7 +337,7 @@ def _train(cfg, dataset, weights):
         hidden=cfg.hidden_widths,
     )
     result = net.train(
-        model, dataset, weights, schedule, nw["epochs"],
+        model, dataset, weights, schedule,
         batch_size=nw["batch_size"],
         learning_rate=nw["learning_rate"],
         seed=cfg.seed + 4,
@@ -395,7 +398,7 @@ def run(cfg, shared=None):
         rec = Reconciled(prep.raw_assignment)
     weights, best_view = _sampling_weights(cfg.variant, shared, rec.assignment)
     model, result = _train(cfg, prep.dataset, weights)
-    z = result.subspace.z
+    z = result.z
     km = _cluster(cfg, z, prep.clusters)
     metrics = _write(cfg, model, z, km, prep.dataset.labels)
 
@@ -435,14 +438,25 @@ def export_embeddings(run_dir, dest=None):
     path = os.path.join(run_dir, "artifacts.npz")
     if not os.path.exists(path):
         raise DataError(f"no run artifacts found at {path}")
-    data = np.load(path)
-    z = data["z"]
-    pred = data["predicted"]
+    malformed = DataError(f"{path} is not an npz archive of a 2-D z and one "
+                          "predicted label per row")
+    try:
+        with np.load(path) as data:
+            z, pred = data["z"], data["predicted"]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    except (ValueError, EOFError, TypeError, KeyError, zipfile.BadZipFile):
+        raise malformed from None
+    if z.ndim != 2 or pred.shape != (len(z),):
+        raise malformed
     dest = dest or os.path.join(run_dir, "embeddings.csv")
-    with open(dest, "w") as fh:
-        fh.write(",".join(f"z{i}" for i in range(z.shape[1])) + ",cluster\n")
-        for row, c in zip(z, pred):
-            fh.write(",".join(f"{v:.12g}" for v in row) + f",{c}\n")
+    try:
+        with open(dest, "w") as fh:
+            fh.write(",".join(f"z{i}" for i in range(z.shape[1])) + ",cluster\n")
+            for row, c in zip(z, pred):
+                fh.write(",".join(f"{v:.12g}" for v in row) + f",{c}\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {dest}: {exc.strerror}") from None
     return dest
 
 
@@ -467,11 +481,16 @@ def ablate(cfg, variants=VARIANTS):
     summary = os.path.join(base_out, "ablation_summary.txt")
     _make_out_dir(base_out)
     with open(summary, "w") as fh:
-        fh.write("variant  acc     nmi     purity\n")
-        for variant, rep in reports.items():
-            if rep.metrics:
-                fh.write(f"{variant:<8} {rep.metrics.acc:.4f}  "
-                         f"{rep.metrics.nmi:.4f}  {rep.metrics.purity:.4f}\n")
-            else:
-                fh.write(f"{variant:<8} (no labels)\n")
+        fh.write(format_ablation(reports))
     return reports
+
+
+def format_ablation(reports):
+    """The ablation table, one line per variant: what ``ablate`` writes to
+    ``ablation_summary.txt`` and ``mvclust ablate`` prints."""
+    lines = ["variant  acc     nmi     purity\n"]
+    for variant, rep in reports.items():
+        m = rep.metrics
+        lines.append(f"{variant:<8} {m.acc:.4f}  {m.nmi:.4f}  {m.purity:.4f}\n"
+                     if m else f"{variant:<8} (no labels)\n")
+    return "".join(lines)

@@ -197,7 +197,7 @@ def test_resolution_noop_without_pairs(rng):
     labels = np.zeros((2, 10), dtype=int)
     from mvclust.difficulty import DifficultyAssignment
     assignment = DifficultyAssignment(
-        labels, [np.full(10, "P"), np.full(10, "P")], 0.618)
+        labels, [np.full(10, "P"), np.full(10, "P")])
     model = build_reconciler([3, 3], rng)
     resolved = resolve_labels(model, ds, assignment)
     np.testing.assert_array_equal(resolved.labels, labels)
@@ -231,7 +231,7 @@ def test_embedder_nets_share_one_flat_vector():
     covered = np.zeros(model.embed_params.size, dtype=int)
     for key, net in nets.items():
         assert net.params.flat.base is model.embed_params
-        for block in net.blocks():
+        for block in net.params.weights + net.params.biases:
             assert np.shares_memory(block, model.embed_params)
         sl = model.embed_slices[key]
         model.embed_params[sl] = np.arange(net.spec.size)
@@ -376,7 +376,7 @@ def _ref_batch_losses_and_grads(model, ds, batch):
         gc_i, dadv_ei = model.classifier.backward(c_cls_i, -ell / p_i * in_i)
         gc_j, dadv_ej = model.classifier.backward(c_cls_j,
                                                   ell / (1.0 - p_j) * in_j)
-        g_cls += beta * (gc_i.flat + gc_j.flat) / b
+        g_cls += beta * (gc_i + gc_j) / b
         for e_grad, (c_head, c_trunk), head, key in (
             ((alpha * active * -2.0 * diff_i - beta * dadv_ei) / b, cache_i,
              model.view_heads[i], i),

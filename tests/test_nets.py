@@ -10,8 +10,14 @@ from conftest import assert_grads_close, numerical_grads, rel_err
 
 def identity_net(width):
     spec = MlpSpec((width, width), ("identity",))
-    params = MlpParams([np.eye(width)], [np.zeros(width)])
+    params = MlpParams(np.concatenate([np.eye(width).ravel(), np.zeros(width)]),
+                       spec.layout)
     return params, spec
+
+
+def blocks(params):
+    """The weight and bias views of ``params`` in layout order."""
+    return [a for pair in zip(params.weights, params.biases) for a in pair]
 
 
 def test_identity_network_returns_input(rng):
@@ -23,7 +29,7 @@ def test_identity_network_returns_input(rng):
 
 def test_sigmoid_at_zero_is_half(rng):
     spec = MlpSpec((3, 1), ("sigmoid",))
-    params = MlpParams([np.zeros((3, 1))], [np.zeros(1)])
+    params = MlpParams(np.zeros(spec.size), spec.layout)
     out, _ = mlp_forward(params, spec, rng.normal(size=(5, 3)))
     np.testing.assert_allclose(out, 0.5)
 
@@ -35,9 +41,7 @@ def straightline_forward(params, spec, x):
             return v
         if name == "relu":
             return v if v > 0 else 0.0
-        if name == "sigmoid":
-            return 1.0 / (1.0 + np.exp(-v))
-        return np.tanh(v)
+        return 1.0 / (1.0 + np.exp(-v))
 
     out = []
     for row in x:
@@ -55,7 +59,7 @@ def straightline_forward(params, spec, x):
 
 
 def test_forward_matches_straightline_reimplementation(rng):
-    net = make_net([3, 5, 4, 2], ["relu", "tanh", "sigmoid"], rng)
+    net = make_net([3, 5, 4, 2], ["relu", "sigmoid", "sigmoid"], rng)
     x = rng.normal(size=(7, 3))
     out, _ = net.forward(x)
     ref = straightline_forward(net.params, net.spec, x)
@@ -72,8 +76,7 @@ def test_zero_output_gradient_gives_zero_param_gradients(rng):
     net = make_net([3, 4, 2], ["relu", "identity"], rng)
     out, cache = net.forward(rng.normal(size=(5, 3)))
     grads, gin = net.backward(cache, np.zeros_like(out))
-    for g in grads.blocks():
-        np.testing.assert_array_equal(g, 0.0)
+    np.testing.assert_array_equal(grads, 0.0)
     np.testing.assert_array_equal(gin, 0.0)
 
 
@@ -84,13 +87,14 @@ def test_linear_layer_quadratic_loss_closed_form(rng):
     y = rng.normal()
     out, cache = net.forward(x)
     resid = out[0, 0] - y
-    grads, _ = net.backward(cache, np.array([[2.0 * resid]]))
+    flat, _ = net.backward(cache, np.array([[2.0 * resid]]))
+    grads = MlpParams(flat, net.spec.layout)
     np.testing.assert_allclose(grads.weights[0], 2.0 * resid * x.T)
     np.testing.assert_allclose(grads.biases[0], 2.0 * resid)
 
 
 def test_backward_matches_finite_differences(rng):
-    net = make_net([4, 6, 5, 3], ["tanh", "relu", "sigmoid"], rng)
+    net = make_net([4, 6, 5, 3], ["sigmoid", "relu", "sigmoid"], rng)
     x = rng.normal(size=(3, 4))
     target = rng.normal(size=(3, 3))
 
@@ -100,7 +104,7 @@ def test_backward_matches_finite_differences(rng):
 
     out, cache = net.forward(x)
     grads, _ = net.backward(cache, 2.0 * (out - target))
-    assert_grads_close(grads.blocks(), numerical_grads(loss, net.blocks()))
+    assert_grads_close([grads], numerical_grads(loss, [net.params.flat]))
 
 
 def test_stale_cache_rejected(rng):
@@ -176,9 +180,9 @@ def _reference_adam(state, params, grads):
 
 
 def test_adam_on_flat_vector_matches_per_block_reference_bytewise():
-    net = make_net([5, 7, 3, 2], ["relu", "tanh", "identity"],
+    net = make_net([5, 7, 3, 2], ["relu", "sigmoid", "identity"],
                    np.random.default_rng(4))
-    ref = net.params.copy()
+    ref = MlpParams(net.params.flat.copy(), net.spec.layout)
     state = AdamState(learning_rate=1e-2)
     ref_state = {"step": 0, "m": None, "v": None}
     x = np.random.default_rng(5).normal(size=(9, 5))
@@ -186,11 +190,12 @@ def test_adam_on_flat_vector_matches_per_block_reference_bytewise():
     for _ in range(5):
         out, cache = net.forward(x)
         grads, _ = net.backward(cache, out - y)
-        adam_step(state, net.params.flat, grads.flat)
-        _reference_adam(ref_state, ref.blocks(), grads.blocks())
+        adam_step(state, net.params.flat, grads)
+        _reference_adam(ref_state, blocks(ref),
+                        blocks(MlpParams(grads, net.spec.layout)))
         assert net.params.flat.tobytes() == ref.flat.tobytes()
     assert net.params.flat.tobytes() != make_net(
-        [5, 7, 3, 2], ["relu", "tanh", "identity"],
+        [5, 7, 3, 2], ["relu", "sigmoid", "identity"],
         np.random.default_rng(4)).params.flat.tobytes()
 
 
@@ -212,23 +217,17 @@ def test_blocks_are_views_of_the_flat_vector():
     spec = MlpSpec((4, 3, 2), ("relu", "identity"))
     params = init_mlp(spec, np.random.default_rng(0))
     assert params.flat.shape == (spec.size,) == (4 * 3 + 3 + 3 * 2 + 2,)
-    blocks = params.blocks()
-    assert [b.shape for b in blocks] == [(4, 3), (3,), (3, 2), (2,)]
-    for block in blocks:
+    views = blocks(params)
+    assert [b.shape for b in views] == [(4, 3), (3,), (3, 2), (2,)]
+    for block in views:
         assert np.shares_memory(block, params.flat)
     params.flat[:] = np.arange(spec.size)
     np.testing.assert_array_equal(params.weights[0].ravel(), np.arange(12))
     np.testing.assert_array_equal(params.biases[1], [21.0, 22.0])
-    # packing given arrays copies them into one fresh vector
-    w, b = np.eye(2), np.ones(2)
-    packed = MlpParams([w], [b])
-    np.testing.assert_array_equal(packed.flat, [1.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-    assert not np.shares_memory(packed.flat, w)
-    assert np.shares_memory(packed.weights[0], packed.flat)
 
 
 def test_backward_accumulates_into_a_given_buffer(rng):
-    net = make_net([3, 4, 2], ["tanh", "identity"], rng)
+    net = make_net([3, 4, 2], ["sigmoid", "identity"], rng)
     x = rng.normal(size=(5, 3))
     out, cache = net.forward(x)
     once, _ = net.backward(cache, out)
@@ -236,26 +235,12 @@ def test_backward_accumulates_into_a_given_buffer(rng):
     target = buffer[2:-2]
     grads, _ = net.backward(cache, out, target)
     net.backward(cache, out, target)
-    assert np.shares_memory(grads.flat, buffer)
-    np.testing.assert_allclose(target, 2.0 * once.flat, rtol=1e-15)
+    assert grads is target
+    np.testing.assert_allclose(target, 2.0 * once, rtol=1e-15)
     np.testing.assert_array_equal(buffer[:2], 0.0)
     np.testing.assert_array_equal(buffer[-2:], 0.0)
     with pytest.raises(ShapeError):
         net.backward(cache, out, np.zeros(net.spec.size - 1))
-
-
-def test_params_copy_is_independent(rng):
-    net = make_net([3, 4, 2], ["relu", "identity"], rng)
-    dup = net.params.copy()
-    assert not np.shares_memory(dup.flat, net.params.flat)
-    for block in dup.blocks():
-        assert np.shares_memory(block, dup.flat)
-    before = net.params.flat.copy()
-    dup.flat += 1.0
-    dup.biases[1][...] = 7.0
-    np.testing.assert_array_equal(net.params.flat, before)
-    np.testing.assert_array_equal(dup.weights[0], net.params.weights[0] + 1.0)
-    np.testing.assert_array_equal(dup.flat[-2:], 7.0)
 
 
 def test_seeded_init_is_deterministic():
@@ -267,18 +252,17 @@ def test_seeded_init_is_deterministic():
 def test_training_trajectory_deterministic(rng):
     def trajectory(seed):
         gen = np.random.default_rng(seed)
-        net = make_net([3, 4, 1], ["tanh", "identity"], gen)
+        net = make_net([3, 4, 1], ["sigmoid", "identity"], gen)
         state = AdamState(learning_rate=1e-2)
         x = np.random.default_rng(1).normal(size=(8, 3))
         y = np.random.default_rng(2).normal(size=(8, 1))
         for _ in range(20):
             out, cache = net.forward(x)
             grads, _ = net.backward(cache, 2.0 * (out - y) / len(x))
-            adam_step(state, net.params.flat, grads.flat)
-        return [b.copy() for b in net.blocks()]
+            adam_step(state, net.params.flat, grads)
+        return net.params.flat.copy()
 
-    for a, b in zip(trajectory(5), trajectory(5)):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(trajectory(5), trajectory(5))
 
 
 def test_spec_validation():
@@ -286,5 +270,6 @@ def test_spec_validation():
         MlpSpec((3,), ())
     with pytest.raises(ShapeError):
         MlpSpec((3, 2), ("relu", "relu"))
-    with pytest.raises(ShapeError):
-        MlpSpec((3, 2), ("softplus",))
+    for unknown in ("softplus", "tanh"):
+        with pytest.raises(ShapeError, match="unknown activation"):
+            MlpSpec((3, 2), (unknown,))

@@ -13,14 +13,17 @@ from mvclust.sampling import PaceSchedule, pace_value, selection_mask
 from conftest import assert_grads_close, numerical_grads, rel_err
 
 
+def one_layer(w, activation):
+    """A one-layer net with weights ``w`` and zero biases."""
+    spec = MlpSpec(w.shape, (activation,))
+    return Net(spec, MlpParams(np.concatenate([w.ravel(), np.zeros(w.shape[1])]),
+                               spec.layout))
+
+
 def identity_view(width):
-    ident = Net(MlpSpec((width, width), ("identity",)),
-                MlpParams([np.eye(width)], [np.zeros(width)]))
-    ident2 = Net(MlpSpec((width, width), ("identity",)),
-                 MlpParams([np.eye(width)], [np.zeros(width)]))
-    disc = Net(MlpSpec((width, 1), ("sigmoid",)),
-               MlpParams([np.zeros((width, 1))], [np.zeros(1)]))
-    return ViewNets(ident, ident2, disc)
+    return ViewNets(one_layer(np.eye(width), "identity"),
+                    one_layer(np.eye(width), "identity"),
+                    one_layer(np.zeros((width, 1)), "sigmoid"))
 
 
 def test_golden_section_value():
@@ -73,9 +76,8 @@ def test_ae_closed_gradients_match_fd(rng):
         return ae_loss_closed(vn, x)[0]
 
     _, g_enc, g_gen = ae_loss_closed(vn, x)
-    blocks = vn.encoder.blocks() + vn.generator.blocks()
-    analytic = g_enc.blocks() + g_gen.blocks()
-    assert_grads_close(analytic, numerical_grads(loss, blocks))
+    flats = [vn.encoder.params.flat, vn.generator.params.flat]
+    assert_grads_close([g_enc, g_gen], numerical_grads(loss, flats))
 
 
 def test_ae_open_reduces_to_closed_when_z_matches(rng):
@@ -119,9 +121,8 @@ def test_ae_open_gradients_match_fd(rng):
         return ae_loss_open(vn, x, z, n_views=2)[0]
 
     _, g_enc, g_gen = ae_loss_open(vn, x, z, n_views=2)
-    blocks = vn.encoder.blocks() + vn.generator.blocks()
-    analytic = g_enc.blocks() + g_gen.blocks()
-    assert_grads_close(analytic, numerical_grads(loss, blocks))
+    flats = [vn.encoder.params.flat, vn.generator.params.flat]
+    assert_grads_close([g_enc, g_gen], numerical_grads(loss, flats))
 
 
 def test_adversarial_value_at_half(rng):
@@ -146,8 +147,8 @@ def test_discriminator_gradients_match_fd(rng):
         return -(float(np.log(p_real).mean()) + float(np.log(1 - p_fake).mean()))
 
     _, disc_grads, _, _ = adversarial_losses(vn, x, fake)
-    assert_grads_close(disc_grads.blocks(),
-                       numerical_grads(neg_disc_value, vn.discriminator.blocks()))
+    assert_grads_close([disc_grads],
+                       numerical_grads(neg_disc_value, [vn.discriminator.params.flat]))
 
 
 def test_generator_adversarial_gradients_match_fd(rng):
@@ -165,8 +166,8 @@ def test_generator_adversarial_gradients_match_fd(rng):
     fake, cache_g = vn.generator.forward(z)
     _, _, _, d_fake = adversarial_losses(vn, x, fake)
     g_gen, _ = vn.generator.backward(cache_g, d_fake)
-    assert_grads_close(g_gen.blocks(),
-                       numerical_grads(gen_value, vn.generator.blocks()))
+    assert_grads_close([g_gen],
+                       numerical_grads(gen_value, [vn.generator.params.flat]))
 
 
 def test_fuse_subspace():
@@ -187,14 +188,12 @@ def blob_dataset(tmp_path, n=200, noise=0.1, seed=0):
 def test_train_lr_zero_keeps_parameters(tmp_path, rng):
     ds = blob_dataset(tmp_path)
     model = build_model([v.shape[1] for v in ds.views], 4, rng, hidden=(8,))
-    before = [b.copy() for vn in model.views
-              for b in vn.encoder.blocks() + vn.generator.blocks()
-              + vn.discriminator.blocks()]
+    before = [net.params.flat.copy() for vn in model.views
+              for net in (vn.encoder, vn.generator, vn.discriminator)]
     sched = PaceSchedule(max_epochs=5)
-    train(model, ds, np.ones(ds.n), sched, epochs=5, learning_rate=0.0, seed=0)
-    after = [b for vn in model.views
-             for b in vn.encoder.blocks() + vn.generator.blocks()
-             + vn.discriminator.blocks()]
+    train(model, ds, np.ones(ds.n), sched, learning_rate=0.0, seed=0)
+    after = [net.params.flat for vn in model.views
+             for net in (vn.encoder, vn.generator, vn.discriminator)]
     for a, b in zip(after, before):
         np.testing.assert_array_equal(a, b)
 
@@ -204,8 +203,7 @@ def test_train_loss_decreases_and_gate_opens(tmp_path, rng):
     model = build_model([v.shape[1] for v in ds.views], 8, rng, hidden=(32, 16))
     probs = rng.uniform(0.2, 1.0, size=ds.n)
     sched = PaceSchedule(max_epochs=150)
-    result = train(model, ds, probs, sched, epochs=150, learning_rate=1e-3,
-                   seed=0)
+    result = train(model, ds, probs, sched, learning_rate=1e-3, seed=0)
     first = sum(result.log_rows[0]["ae_loss"])
     last = sum(result.log_rows[-1]["ae_loss"])
     assert last < 0.25 * first
@@ -216,8 +214,8 @@ def test_train_loss_decreases_and_gate_opens(tmp_path, rng):
     # progressive inclusion: mask sizes never shrink
     sizes = [r["mask_size"] for r in result.log_rows]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
-    assert result.subspace.z.shape == (ds.n, 8)
-    assert np.all(np.isfinite(result.subspace.z))
+    assert result.z.shape == (ds.n, 8)
+    assert np.all(np.isfinite(result.z))
 
 
 def test_training_log_written(tmp_path, rng):
@@ -225,8 +223,7 @@ def test_training_log_written(tmp_path, rng):
     model = build_model([v.shape[1] for v in ds.views], 4, rng, hidden=(8,))
     sched = PaceSchedule(max_epochs=3)
     log_path = tmp_path / "log.csv"
-    train(model, ds, np.ones(ds.n), sched, epochs=3, seed=0,
-          log_path=str(log_path))
+    train(model, ds, np.ones(ds.n), sched, seed=0, log_path=str(log_path))
     lines = log_path.read_text().strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("epoch,lambda,mask_size,gate")
@@ -234,12 +231,12 @@ def test_training_log_written(tmp_path, rng):
 
 # --- open-gate latent cache against a loop that re-encodes every view ---------
 
-def _ref_train_open(model, ds, probs, sched, epochs, batch_size, lr, seed):
+def _ref_train_open(model, ds, probs, sched, batch_size, lr, seed):
     """``train`` with the gate forced open, written as a loop that encodes
     every view again for each view's common-subspace round. Returns the
     common subspace and the log rows."""
     rng = np.random.default_rng(seed)
-    opts = [_ViewOptimizers(vn, lr) for vn in model.views]
+    opts = [_ViewOptimizers(lr) for _ in model.views]
     n_views = ds.n_views
 
     def fused(rows):
@@ -249,7 +246,7 @@ def _ref_train_open(model, ds, probs, sched, epochs, batch_size, lr, seed):
     z_full = np.zeros((ds.n, model.latent_width))
     ever_selected = np.zeros(ds.n, dtype=bool)
     log_rows = []
-    for epoch in range(epochs):
+    for epoch in range(sched.max_epochs):
         lam = pace_value(sched, epoch, probs)
         selected = np.nonzero(selection_mask(probs, lam))[0]
         ever_selected[selected] = True
@@ -262,8 +259,8 @@ def _ref_train_open(model, ds, probs, sched, epochs, batch_size, lr, seed):
             for i, (vn, opt) in enumerate(zip(model.views, opts)):
                 x = ds.views[i][idx]
                 loss, g_enc, g_gen = ae_loss_open(vn, x, z_full[idx], n_views)
-                adam_step(opt.encoder, vn.encoder.params.flat, g_enc.flat)
-                adam_step(opt.generator, vn.generator.params.flat, g_gen.flat)
+                adam_step(opt.encoder, vn.encoder.params.flat, g_enc)
+                adam_step(opt.generator, vn.generator.params.flat, g_gen)
                 ae_sums[i] += loss
                 adv_sums[i] += _gan_round(vn, opt, x, vn.encoder.forward(x)[0],
                                           epoch, n_batches)
@@ -293,12 +290,12 @@ def test_open_gate_cache_matches_reencoding_loop():
     dims = [v.shape[1] for v in ds.views]
     model = build_model(dims, 3, np.random.default_rng(0), hidden=(6,))
     ref = build_model(dims, 3, np.random.default_rng(0), hidden=(6,))
-    result = train(model, ds, probs, sched, epochs=4, batch_size=16,
+    result = train(model, ds, probs, sched, batch_size=16,
                    learning_rate=1e-3, seed=2, force_gate_open=True)
-    ref_z, ref_rows = _ref_train_open(ref, ds, probs, sched, epochs=4,
+    ref_z, ref_rows = _ref_train_open(ref, ds, probs, sched,
                                       batch_size=16, lr=1e-3, seed=2)
     assert result.gate_opened_epoch == 0
-    assert result.subspace.z.tobytes() == ref_z.tobytes()
+    assert result.z.tobytes() == ref_z.tobytes()
     assert result.log_rows == ref_rows
     for vn, ref_vn in zip(model.views, ref.views):
         for net, ref_net in ((vn.encoder, ref_vn.encoder),
@@ -322,7 +319,7 @@ def test_open_batch_encodes_each_view_three_times_less_one():
     for vn in model.views:
         vn.encoder.forward = counted(vn.encoder.forward)
     result = train(model, ds, np.ones(ds.n), PaceSchedule(max_epochs=1),
-                   epochs=1, batch_size=16, seed=0, force_gate_open=True)
+                   batch_size=16, seed=0, force_gate_open=True)
     n_views, batches = ds.n_views, -(-result.log_rows[0]["mask_size"] // 16)
     assert batches == 3
     # one fusion of the selected set and one export-time encode per view,

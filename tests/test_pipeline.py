@@ -47,7 +47,7 @@ def test_load_config_defaults(tmp_path):
 
 
 def test_load_config_missing_file(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
+    with pytest.raises(ConfigError, match="cannot read .*nope.cfg"):
         load_config(str(tmp_path / "nope.cfg"))
 
 
@@ -248,8 +248,15 @@ def test_cli_export_and_eval(tmp_path, capsys):
 
 
 def test_cli_exit_codes(tmp_path, capsys):
-    # config error: missing config file
-    assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
+    # config errors: a config file that is missing, a directory or not text
+    undecodable_cfg = tmp_path / "undecodable.cfg"
+    undecodable_cfg.write_bytes(b"[experiment]\nmanifest = \xff\xfe\n")
+    for path in (tmp_path / "absent.cfg", tmp_path, undecodable_cfg):
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == 2, path
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read {path}: ")
+        assert err.count("\n") == 1
     # config error: bad variant override
     cfg = small_config(tmp_path)
     assert main(["run", "--config", cfg, "--variant", "BOGUS"]) == 2
@@ -318,9 +325,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["export", "--run-dir", str(tmp_path)]) == 3
     # data errors, each in one line: unreadable, malformed or unequal label
     # files for eval (rows numbered from 1, blank lines counted), bad synth
-    # flags, and ablate into an existing file
+    # flags, ablate into an existing file, an artifacts.npz that is no npz
+    # archive, lacks z or holds a 1-D z, and an export into a missing directory
     good, short, broken = (tmp_path / name
                            for name in ("good", "short", "broken"))
+    not_npz, no_z, flat_z, run_dir = (
+        tmp_path / name for name in ("not_npz", "no_z", "flat_z", "run_dir"))
+    for d in (not_npz, no_z, flat_z, run_dir):
+        d.mkdir()
+    (not_npz / "artifacts.npz").write_text("z = 1\n")
+    np.savez(no_z / "artifacts.npz", predicted=np.zeros(3, dtype=int))
+    np.savez(flat_z / "artifacts.npz", z=np.zeros(3),
+             predicted=np.zeros(3, dtype=int))
+    np.savez(run_dir / "artifacts.npz", z=np.zeros((3, 2)),
+             predicted=np.zeros(3, dtype=int))
     good.write_text("0\n1\n1\n")
     short.write_text("0\n1\n")
     broken.write_text("0\n\n1,oops\n")
@@ -342,6 +360,11 @@ def test_cli_exit_codes(tmp_path, capsys):
          "outlier_fraction"),
         (["ablate", "--config", cfg, "--variants", "NONE", "--out", str(afile)],
          "experiment.out"),
+        (["export", "--run-dir", str(not_npz)], "artifacts.npz"),
+        (["export", "--run-dir", str(no_z)], "artifacts.npz"),
+        (["export", "--run-dir", str(flat_z)], "artifacts.npz"),
+        (["export", "--run-dir", str(run_dir),
+          "--dest", str(tmp_path / "missing" / "emb.csv")], "missing"),
     ):
         capsys.readouterr()
         assert main(argv) == 3, argv
@@ -368,6 +391,26 @@ def test_cli_ablate_subset(tmp_path, capsys):
         ablate(load_config(cfg, {"experiment.out": str(tmp_path / "lib")}),
                ["BOGUS"])
     assert not (tmp_path / "lib").exists()
+
+
+def test_cli_ablate_prints_the_summary_file(tmp_path, capsys):
+    labelled = small_config(tmp_path, n=80)
+    manifest = tmp_path / "data" / "manifest.txt"
+    no_labels = tmp_path / "data" / "no_labels.txt"
+    no_labels.write_text(manifest.read_text().replace("labels = labels.csv\n", ""))
+    unlabelled = tmp_path / "unlabelled.cfg"
+    with open(labelled) as fh:
+        unlabelled.write_text(fh.read().replace(
+            str(manifest), f"{no_labels}\nclusters = 3"))
+    for cfg, row in ((labelled, "NONE     0."),
+                     (unlabelled, "NONE     (no labels)")):
+        out = tmp_path / f"abl_{os.path.basename(cfg)}"
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(cfg), "--variants", "NONE",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == (out / "ablation_summary.txt").read_text()
+        assert printed.splitlines()[1].startswith(row)
 
 
 def test_cli_more_clusters_or_neighbors_than_samples_fail_before_any_output(
