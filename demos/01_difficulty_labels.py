@@ -26,18 +26,17 @@ print(f"{n} samples, {dataset.n_views} views, anchor sample {anchor}")
 
 partitions = [build_partition(dataset, v, anchor, n // 2)
               for v in range(dataset.n_views)]
-assignment = assignment_from_partitions(partitions, GOLDEN_SECTION)
+labels = assignment_from_partitions(partitions, GOLDEN_SECTION)  # (V, n)
 
 for v, part in enumerate(partitions):
-    labels = assignment.labels[v]
     d = part.anchor_distances
     print(f"\nview {v}: |P| = {len(part.positive)}, |N| = {len(part.negative)}")
     print(f"  boundary distances: mu*d_max(P) = "
           f"{GOLDEN_SECTION * d[part.positive].max():.3f}, "
           f"mu*d_max(N) = {GOLDEN_SECTION * d[part.negative].max():.3f}")
-    print(f"  easy: {int((labels == 0).sum())}, "
-          f"difficult: {int((labels == 1).sum())}")
+    print(f"  easy: {int((labels[v] == 0).sum())}, "
+          f"difficult: {int((labels[v] == 1).sum())}")
 
-pairs = collect_inconsistent(assignment.labels)
+pairs = collect_inconsistent(labels)
 print(f"\ncross-view disagreements: {len(pairs)} sample/view pairs")
 print("first few:", pairs[:5])

@@ -20,8 +20,8 @@ rng = np.random.default_rng(3)
 views = [rng.normal(size=(40, 6)), rng.normal(size=(40, 4))]
 dataset = MultiViewDataset(views)
 partitions = [build_partition(dataset, v, 0, 20) for v in range(2)]
-assignment = assignment_from_partitions(partitions, 0.618)
-pairs = collect_inconsistent(assignment.labels)
+labels = assignment_from_partitions(partitions, 0.618)   # (V, n)
+pairs = collect_inconsistent(labels)
 print(f"{len(pairs)} inconsistent pairs out of {dataset.n} samples")
 
 model = build_reconciler([6, 4], np.random.default_rng(0), learning_rate=3e-3)
@@ -40,7 +40,7 @@ print(f"agreement after 200 minimax epochs:      "
 print(f"final losses: sim = {history[-1]['sim']:.4f}, "
       f"adv = {history[-1]['adv']:.4f}")
 
-resolved = resolve_labels(model, dataset, assignment)
-assert collect_inconsistent(resolved.labels) == []
-changed = int((resolved.labels != assignment.labels).sum())
+resolved = resolve_labels(model, dataset, labels)
+assert collect_inconsistent(resolved) == []
+changed = int((resolved != labels).sum())
 print(f"resolution flipped {changed} labels; views now fully agree")

@@ -177,7 +177,7 @@ def build_partition(dataset, view_index, anchor_index, k_neighbors):
     view = dataset.views[view_index]
     diff = view - view[anchor_index]
     dist = np.sqrt((diff * diff).sum(axis=1))
-    others = np.array([i for i in range(n) if i != anchor_index])
+    others = np.delete(np.arange(n), anchor_index)
     # stable sort on distance => index breaks ties
     order = others[np.argsort(dist[others], kind="stable")]
     positive = np.sort(order[:k_neighbors])

@@ -16,37 +16,13 @@ from .errors import DataError, NumericalError, ShapeError
 from .nets import (AdamState, MlpSpec, Net, adam_step, clamp_prob,
                    clamp_prob_masked, init_mlp, make_net)
 
-REGION_POSITIVE = "P"
-REGION_NEGATIVE = "N"
-REGION_ANCHOR = "A"
-
-
-@dataclass
-class DifficultyAssignment:
-    """Per-view binary labels (easy=0 / difficult=1) plus region tags."""
-
-    labels: np.ndarray    # (V, n) ints in {0, 1}
-    regions: list         # per view: length-n array of 'P'/'N'/'A'
-
-    @property
-    def n_views(self):
-        return self.labels.shape[0]
-
-    @property
-    def n(self):
-        return self.labels.shape[1]
-
-    def copy(self):
-        return DifficultyAssignment(self.labels.copy(),
-                                    [r.copy() for r in self.regions])
-
-
 def assign_difficulty(partition, mu):
     """Label one view's samples via the anchor-distance boundary rule.
 
     A negative-set sample farther than mu * d_max(N), or a positive-set sample
     closer than mu * d_max(P), is easy (0); every other sample is difficult (1).
-    Both inequalities are strict. The anchor itself is tagged 'A' and easy.
+    Both inequalities are strict. The anchor itself is easy. Returns the
+    length-n label vector.
     """
     if not 0.0 < mu < 1.0:
         raise DataError(f"mu must be in (0, 1), got {mu}")
@@ -54,30 +30,18 @@ def assign_difficulty(partition, mu):
         raise DataError(
             "difficulty boundary undefined: positive or negative set is empty"
         )
-    n = partition.n
     dist = partition.anchor_distances
-    d_max_n = dist[partition.negative].max()
-    d_max_p = dist[partition.positive].max()
-    labels = np.ones(n, dtype=int)
-    regions = np.full(n, REGION_ANCHOR, dtype="<U1")
-    regions[partition.positive] = REGION_POSITIVE
-    regions[partition.negative] = REGION_NEGATIVE
-    for k in partition.negative:
-        labels[k] = 0 if dist[k] > mu * d_max_n else 1
-    for k in partition.positive:
-        labels[k] = 0 if dist[k] < mu * d_max_p else 1
-    labels[partition.anchor_index] = 0
-    return labels, regions
+    neg, pos = partition.negative, partition.positive
+    easy = np.zeros(partition.n, dtype=bool)
+    easy[neg] = dist[neg] > mu * dist[neg].max()
+    easy[pos] = dist[pos] < mu * dist[pos].max()
+    easy[partition.anchor_index] = True
+    return (~easy).astype(int)
 
 
 def assignment_from_partitions(partitions, mu):
-    """Apply the boundary rule to every view."""
-    labels, regions = [], []
-    for part in partitions:
-        lab, reg = assign_difficulty(part, mu)
-        labels.append(lab)
-        regions.append(reg)
-    return DifficultyAssignment(np.stack(labels), regions)
+    """Apply the boundary rule to every view: the (V, n) label matrix."""
+    return np.stack([assign_difficulty(part, mu) for part in partitions])
 
 
 def collect_inconsistent(labels):
@@ -363,12 +327,12 @@ def train_reconciler(model, dataset, pairs, epochs, batch_size=32, t_steps=3,
     return history
 
 
-def resolve_labels(model, dataset, assignment):
-    """Replace every cross-view disagreement with the classifier's verdict on
-    the fused pair (>= 0.5 means difficult). Returns a consistent assignment.
+def resolve_labels(model, dataset, labels):
+    """Replace every cross-view disagreement in the (V, n) label matrix with
+    the classifier's verdict on the fused pair (>= 0.5 means difficult).
+    Returns a consistent copy.
     """
-    resolved = assignment.copy()
-    labels = resolved.labels
+    labels = labels.copy()
     pairs = collect_inconsistent(labels)
     verdicts = {}   # sample -> verdicts on its fused pairs, in view-pair order
     for (i, j), ks, _, _, x_f in _pair_groups(dataset, pairs):
@@ -382,7 +346,7 @@ def resolve_labels(model, dataset, assignment):
     # a sample mixed; fall back to the mean verdict over all its fused pairs.
     for k in sorted({k for k, _, _ in collect_inconsistent(labels)}):
         labels[:, k] = 1 if np.mean(verdicts[k]) >= 0.5 else 0
-    return resolved
+    return labels
 
 
 def classifier_agreement_rate(model, dataset, pairs):
@@ -413,13 +377,17 @@ def similarity_direction_rate(model, dataset, pairs):
     return hits / len(pairs)
 
 
-def export_difficulty(raw, resolved, path):
-    """CSV dump: sample_index, view, region, raw_label, resolved_label."""
+def export_difficulty(partitions, raw, resolved, path):
+    """CSV dump: sample_index, view, region, raw_label, resolved_label.
+
+    The region is the sample's side of the view's partition: A (the anchor),
+    P (positive set) or N (negative set).
+    """
     with open(path, "w") as fh:
         fh.write("sample_index,view,region,raw_label,resolved_label\n")
-        for v in range(raw.n_views):
-            for k in range(raw.n):
-                fh.write(
-                    f"{k},{v},{raw.regions[v][k]},"
-                    f"{raw.labels[v, k]},{resolved.labels[v, k]}\n"
-                )
+        for v, part in enumerate(partitions):
+            region = np.full(part.n, "A")
+            region[part.positive] = "P"
+            region[part.negative] = "N"
+            for k in range(part.n):
+                fh.write(f"{k},{v},{region[k]},{raw[v, k]},{resolved[v, k]}\n")

@@ -22,21 +22,14 @@ log = logging.getLogger(__name__)
 GOLDEN_SECTION = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass
-class GateState:
-    open: bool
-    sigma: float
-    selected_count: int
-    total_count: int
-
-
-def gate(selected_count, total, sigma=GOLDEN_SECTION):
-    """Open iff strictly more than sigma * total samples are selected."""
+def gate(selected_count, total):
+    """Open iff strictly more than the golden section of ``total`` samples
+    are selected."""
     if total < 1:
         raise ShapeError(f"total must be >= 1, got {total}")
     if not 0 <= selected_count <= total:
         raise ShapeError(f"selected_count {selected_count} out of [0, {total}]")
-    return GateState(selected_count > sigma * total, sigma, selected_count, total)
+    return selected_count > GOLDEN_SECTION * total
 
 
 @dataclass
@@ -214,8 +207,7 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
         mask = selection_mask(averaged_probs, lam)
         selected = np.nonzero(mask)[0]
         ever_selected[selected] = True
-        g = gate(len(selected), n)
-        gate_open = force_gate_open or g.open
+        gate_open = gate(len(selected), n) or force_gate_open
         if gate_open and gate_opened_epoch < 0:
             gate_opened_epoch = epoch
 

@@ -21,6 +21,7 @@ import math
 import os
 import time
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -202,14 +203,14 @@ class Prepared:
     dataset: dat.MultiViewDataset
     clusters: int
     partitions: list                  # one NeighborPartition per view
-    raw_assignment: dif.DifficultyAssignment
+    raw_labels: np.ndarray            # (V, n) difficulty labels
 
 
 @dataclass
 class Reconciled:
     """Difficulty labels after reconciliation (the raw ones if no pair disagrees)."""
 
-    assignment: dif.DifficultyAssignment
+    labels: np.ndarray                # (V, n), consistent across views
     n_pairs: int = 0
     sim_rate: float = float("nan")
 
@@ -232,16 +233,16 @@ def _prepare(cfg):
     k = cfg.k_neighbors if cfg.k_neighbors > 0 else n // 2
     partitions = [dat.build_partition(dataset, v, anchor, k)
                   for v in range(dataset.n_views)]
-    raw_assignment = dif.assignment_from_partitions(partitions, cfg.mu)
-    return Prepared(dataset, clusters, partitions, raw_assignment)
+    raw_labels = dif.assignment_from_partitions(partitions, cfg.mu)
+    return Prepared(dataset, clusters, partitions, raw_labels)
 
 
 def _reconcile(cfg, prep):
     """Stage 2 (AIS+CS, FULL): train the reconciler on the inconsistent pairs
     and let it settle every cross-view disagreement."""
-    pairs = dif.collect_inconsistent(prep.raw_assignment.labels)
+    pairs = dif.collect_inconsistent(prep.raw_labels)
     if not pairs:
-        return Reconciled(prep.raw_assignment)
+        return Reconciled(prep.raw_labels)
     dataset = prep.dataset
     rc = cfg.reconcile
     model = dif.build_reconciler(
@@ -262,10 +263,10 @@ def _reconcile(cfg, prep):
         t_steps=rc["t_steps"],
         seed=cfg.seed + 2,
     )
-    assignment = dif.resolve_labels(model, dataset, prep.raw_assignment)
+    labels = dif.resolve_labels(model, dataset, prep.raw_labels)
     sim_rate = dif.similarity_direction_rate(model, dataset, pairs)
     log.info("similarity direction rate after reconciliation: %.3f", sim_rate)
-    return Reconciled(assignment, len(pairs), sim_rate)
+    return Reconciled(labels, len(pairs), sim_rate)
 
 
 def _pick_best_view(dataset, clusters, seed, restarts, max_iter):
@@ -310,15 +311,15 @@ class _Shared:
                                cl["restarts"], cl["max_iter"])
 
 
-def _sampling_weights(variant, shared, assignment):
+def _sampling_weights(variant, shared, labels):
     """Stage 3: each sample's sampling weight, and the view it came from
     (-1 unless the variant samples from the best single view)."""
     prep = shared.prepared
     if variant == "NONE":
         return np.ones(prep.dataset.n), -1
     best_view = -1 if variant in _RECONCILED else shared.best_view
-    state = smp.compute_probabilities(assignment, prep.partitions)
-    return (state.averaged if best_view < 0 else state.per_view[best_view],
+    probs = smp.compute_probabilities(labels, prep.partitions)
+    return (probs.mean(axis=0) if best_view < 0 else probs[best_view],
             best_view)
 
 
@@ -369,6 +370,17 @@ def _write(cfg, model, z, km, labels):
     return metrics
 
 
+@contextmanager
+def _writing(path):
+    """Turn an OSError from the file writes in the block into a one-line
+    DataError naming the file (``path`` if the error names none)."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(
+            f"cannot write {exc.filename or path}: {exc.strerror}") from None
+
+
 def _make_out_dir(path):
     try:
         os.makedirs(path, exist_ok=True)
@@ -389,21 +401,23 @@ def run(cfg, shared=None):
         shared = _Shared(cfg)
     prep = shared.prepared
     _make_out_dir(cfg.out)
-    if cfg.variant in _RECONCILED:
-        rec = shared.reconciled
-        if rec.n_pairs:
-            dif.export_difficulty(prep.raw_assignment, rec.assignment,
-                                  os.path.join(cfg.out, "difficulty.csv"))
-    else:
-        rec = Reconciled(prep.raw_assignment)
-    weights, best_view = _sampling_weights(cfg.variant, shared, rec.assignment)
-    model, result = _train(cfg, prep.dataset, weights)
-    z = result.z
-    km = _cluster(cfg, z, prep.clusters)
-    metrics = _write(cfg, model, z, km, prep.dataset.labels)
+    with _writing(cfg.out):
+        if cfg.variant in _RECONCILED:
+            rec = shared.reconciled
+            if rec.n_pairs:
+                dif.export_difficulty(prep.partitions, prep.raw_labels,
+                                      rec.labels,
+                                      os.path.join(cfg.out, "difficulty.csv"))
+        else:
+            rec = Reconciled(prep.raw_labels)
+        weights, best_view = _sampling_weights(cfg.variant, shared, rec.labels)
+        model, result = _train(cfg, prep.dataset, weights)
+        z = result.z
+        km = _cluster(cfg, z, prep.clusters)
+        metrics = _write(cfg, model, z, km, prep.dataset.labels)
 
-    wall = time.time() - started
-    _write_run_info(cfg, wall, result, rec.n_pairs, best_view, rec.sim_rate)
+        wall = time.time() - started
+        _write_run_info(cfg, wall, result, rec.n_pairs, best_view, rec.sim_rate)
     return RunReport(
         variant=cfg.variant,
         seed=cfg.seed,
@@ -450,13 +464,10 @@ def export_embeddings(run_dir, dest=None):
     if z.ndim != 2 or pred.shape != (len(z),):
         raise malformed
     dest = dest or os.path.join(run_dir, "embeddings.csv")
-    try:
-        with open(dest, "w") as fh:
-            fh.write(",".join(f"z{i}" for i in range(z.shape[1])) + ",cluster\n")
-            for row, c in zip(z, pred):
-                fh.write(",".join(f"{v:.12g}" for v in row) + f",{c}\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {dest}: {exc.strerror}") from None
+    with _writing(dest), open(dest, "w") as fh:
+        fh.write(",".join(f"z{i}" for i in range(z.shape[1])) + ",cluster\n")
+        for row, c in zip(z, pred):
+            fh.write(",".join(f"{v:.12g}" for v in row) + f",{c}\n")
     return dest
 
 
@@ -480,7 +491,7 @@ def ablate(cfg, variants=VARIANTS):
         reports[variant] = run(replace(cfg, variant=variant, out=out), shared)
     summary = os.path.join(base_out, "ablation_summary.txt")
     _make_out_dir(base_out)
-    with open(summary, "w") as fh:
+    with _writing(summary), open(summary, "w") as fh:
         fh.write(format_ablation(reports))
     return reports
 

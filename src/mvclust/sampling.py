@@ -11,26 +11,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .difficulty import REGION_NEGATIVE, REGION_POSITIVE
 from .errors import DataError, NumericalError
 
 log = logging.getLogger(__name__)
 
 
-def easy_prob(d, d_max, region):
-    """Sampling probability of an easy sample.
+def easy_prob(d, d_max, positive):
+    """Sampling probability of an easy sample (d and positive: scalars or
+    arrays of one shape).
 
-    Negative region: d / d_max (farther is easier). Positive region:
-    1 - d / d_max (closer is easier). d_max is the maximum anchor distance
-    over the negative set.
+    Negative set: d / d_max (farther is easier). Positive set: 1 - d / d_max
+    (closer is easier). d_max is the maximum anchor distance over the
+    negative set.
     """
     if d_max <= 0.0:
         raise NumericalError("d_max must be positive (degenerate geometry)")
-    if region == REGION_NEGATIVE:
-        return d / d_max
-    if region == REGION_POSITIVE:
-        return 1.0 - d / d_max
-    raise DataError(f"unknown region {region!r}")
+    ratio = d / d_max
+    return np.where(positive, 1.0 - ratio, ratio)[()]
 
 
 def hard_prob(d, d_med, sum_d):
@@ -41,38 +38,30 @@ def hard_prob(d, d_med, sum_d):
     return abs(d - d_med) / sum_d
 
 
-@dataclass
-class SamplingState:
-    """Per-view probabilities, their cross-view average, and the last mask."""
+def compute_probabilities(labels, partitions):
+    """Probabilities for every sample in every view: the (V, n) matrix.
 
-    per_view: np.ndarray   # (V, n)
-    averaged: np.ndarray   # (n,)
-
-
-def compute_probabilities(assignment, partitions):
-    """Probabilities for every sample in every view, then the cross-view mean.
-
-    Requires resolved (consistent) labels. If a view's geometry leaves some
-    difficult probability at or above the smallest easy probability, those
-    values are clamped just below it so easy-first ordering survives.
+    Each view's row reads only that view's row of the (V, n) labels and its
+    partition. If a view's geometry leaves some difficult probability at or
+    above the smallest easy probability, those values are clamped just below
+    it so easy-first ordering survives.
     """
-    n_views = assignment.n_views
-    n = assignment.n
-    per_view = np.zeros((n_views, n))
-    for v in range(n_views):
-        part = partitions[v]
-        labels = assignment.labels[v]
-        regions = assignment.regions[v]
+    per_view = np.zeros(labels.shape)
+    for v, part in enumerate(partitions):
+        probs = per_view[v]
         dist = part.anchor_distances
         if len(part.negative) == 0:
             raise NumericalError(f"view {v}: empty negative set")
         d_max = dist[part.negative].max()
         if d_max <= 0.0:
             raise NumericalError(f"view {v}: all negative samples at distance 0")
-        hard_idx = np.array(
-            [k for k in range(n) if labels[k] == 1 and k != part.anchor_index],
-            dtype=int,
-        )
+        easy = labels[v] == 0
+        hard = labels[v] == 1
+        hard[part.anchor_index] = False
+        hard_idx = np.flatnonzero(hard)   # ascending, as the median and sum read them
+        positive = np.zeros(part.n, dtype=bool)
+        positive[part.positive] = True
+        probs[easy] = easy_prob(dist[easy], d_max, positive[easy])
         if hard_idx.size:
             hard_d = dist[hard_idx]
             d_med = float(np.median(hard_d))
@@ -81,25 +70,19 @@ def compute_probabilities(assignment, partitions):
                 raise NumericalError(
                     f"view {v}: difficult samples all at distance 0"
                 )
-        for k in range(n):
-            if k == part.anchor_index:
-                per_view[v, k] = 1.0  # the anchor is maximally unambiguous
-            elif labels[k] == 0:
-                per_view[v, k] = easy_prob(dist[k], d_max, regions[k])
-            else:
-                per_view[v, k] = hard_prob(dist[k], d_med, sum_d)
-        easy_mask = assignment.labels[v] == 0
-        if easy_mask.any() and hard_idx.size:
-            min_easy = per_view[v, easy_mask].min()
+            probs[hard_idx] = hard_prob(hard_d, d_med, sum_d)
+        probs[part.anchor_index] = 1.0  # the anchor is maximally unambiguous
+        if easy.any() and hard_idx.size:
+            min_easy = probs[easy].min()
             ceiling = max(min_easy - 1e-9, 0.0)
-            too_big = per_view[v, hard_idx] >= min_easy
+            too_big = probs[hard_idx] >= min_easy
             if too_big.any():
                 log.info(
                     "view %d: clamping %d difficult probabilities below %g",
                     v, int(too_big.sum()), min_easy,
                 )
-                per_view[v, hard_idx[too_big]] = ceiling
-    return SamplingState(per_view, per_view.mean(axis=0))
+                probs[hard_idx[too_big]] = ceiling
+    return per_view
 
 
 @dataclass

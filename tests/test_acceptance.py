@@ -45,14 +45,14 @@ def _oracle_difficulty(rng):
         k = int(rng.integers(1, n - 1))
         mu = float(rng.uniform(0.1, 0.9))
         part = partition_from_distances(dist, k=k)
-        labels, regions = assign_difficulty(part, mu)
+        labels = assign_difficulty(part, mu)
         d = part.anchor_distances
         d_max_n = d[part.negative].max()
         d_max_p = d[part.positive].max()
         for s in range(part.n):
             if s == part.anchor_index:
                 assert labels[s] == 0
-            elif regions[s] == "N":
+            elif s in part.negative:
                 assert labels[s] == (0 if d[s] > mu * d_max_n else 1)
             else:
                 assert labels[s] == (0 if d[s] < mu * d_max_p else 1)
@@ -86,8 +86,8 @@ def _oracle_easy_prob(rng):
     for _ in range(25):
         d = float(rng.uniform(0.01, 5.0))
         d_max = float(rng.uniform(d, 10.0))
-        assert rel_err(easy_prob(d, d_max, "N"), d / d_max) < 1e-12
-        assert rel_err(easy_prob(d, d_max, "P"), 1.0 - d / d_max) < 1e-12
+        assert rel_err(easy_prob(d, d_max, False), d / d_max) < 1e-12
+        assert rel_err(easy_prob(d, d_max, True), 1.0 - d / d_max) < 1e-12
 
 
 def _oracle_hard_prob(rng):
@@ -119,7 +119,7 @@ def _oracle_gate(rng):
     for _ in range(25):
         n = int(rng.integers(1, 5000))
         count = int(rng.integers(0, n + 1))
-        assert gate(count, n).open == (count > (math.sqrt(5) - 1) / 2 * n)
+        assert gate(count, n) == (count > (math.sqrt(5) - 1) / 2 * n)
 
 
 def _oracle_ae_closed(rng):
@@ -182,9 +182,8 @@ def test_criterion_2_ordering_theorem():
         rng = np.random.default_rng(2026)
         violations = 0
         for _ in range(1000):
-            part, assignment, easy, hard = random_premise_partition(rng)
-            state = compute_probabilities(assignment, [part, part])
-            p = state.per_view[0]
+            part, labels, easy, hard = random_premise_partition(rng)
+            p = compute_probabilities(labels, [part, part])[0]
             if p[easy].min() <= p[hard].max():
                 violations += 1
         assert violations == 0
@@ -351,8 +350,8 @@ def test_criterion_4_gate_flip():
         assert abs(GOLDEN_SECTION - sigma) < 1e-15
         for n in range(1, 10001):
             flip = math.floor(sigma * n) + 1  # sigma*n is never an integer
-            assert gate(flip, n).open
-            assert not gate(flip - 1, n).open
+            assert gate(flip, n)
+            assert not gate(flip - 1, n)
 
     _verdict(4, "gate flips exactly at count > sigma*N for all N in 1..10^4",
              body)

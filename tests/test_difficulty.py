@@ -25,18 +25,18 @@ def partition_from_distances(distances, k, anchor=0):
 def test_negative_sample_beyond_boundary_is_easy():
     # distances: P = {1.0}, N = {5.0, 8.0, 10.0}; mu=0.618 => boundary 6.18
     part = partition_from_distances([1.0, 5.0, 8.0, 10.0], k=1)
-    labels, regions = assign_difficulty(part, 0.618)
+    labels = assign_difficulty(part, 0.618)
     assert labels[3] == 0  # d=8.0 > 6.18
     assert labels[4] == 0  # d=10.0
     assert labels[2] == 1  # d=5.0 <= 6.18
-    assert regions[2] == "N" and regions[1] == "P"
+    assert 2 in part.negative and 1 in part.positive
 
 
 def test_positive_boundary_is_strict():
     # P distances {1.0, 2.0}: d_max(P)=2.0; with mu=0.5 the sample at exactly
     # 1.0 = mu*d_max fails the strict inequality and stays difficult
     part = partition_from_distances([1.0, 2.0, 9.0, 10.0], k=2)
-    labels, _ = assign_difficulty(part, 0.5)
+    labels = assign_difficulty(part, 0.5)
     assert labels[1] == 1
     assert labels[2] == 1  # d_max(P) itself can never be < mu*d_max(P)
 
@@ -55,18 +55,60 @@ def test_difficulty_matches_bruteforce(rng):
         k = int(rng.integers(1, n - 1))
         mu = float(rng.uniform(0.1, 0.9))
         part = partition_from_distances(dist, k=k)
-        labels, regions = assign_difficulty(part, mu)
+        labels = assign_difficulty(part, mu)
         d = part.anchor_distances
         d_max_n = d[part.negative].max()
         d_max_p = d[part.positive].max()
         for s in range(part.n):
             if s == part.anchor_index:
                 continue
-            if regions[s] == "N":
+            if s in part.negative:
                 expect = 0 if d[s] > mu * d_max_n else 1
             else:
                 expect = 0 if d[s] < mu * d_max_p else 1
             assert labels[s] == expect
+
+
+def random_geometry(rng, n_views):
+    """Partitions of ``n_views`` random views around one shared random anchor.
+
+    Half the draws put the samples on a small integer grid, so distances tie
+    (and some samples sit on the anchor itself)."""
+    n = int(rng.integers(8, 60))
+    grid = rng.integers(2) == 1
+    views = [rng.integers(-3, 4, size=(n, int(rng.integers(3, 6)))).astype(float)
+             if grid else rng.normal(size=(n, int(rng.integers(1, 6))))
+             for _ in range(n_views)]
+    ds = MultiViewDataset(views)
+    anchor = int(rng.integers(n))
+    k = int(rng.integers(1, n - 1))
+    return [build_partition(ds, v, anchor, k) for v in range(n_views)]
+
+
+def _ref_assign_difficulty(part, mu):
+    """The boundary rule one sample at a time, as the package once wrote it."""
+    dist = part.anchor_distances
+    d_max_n = dist[part.negative].max()
+    d_max_p = dist[part.positive].max()
+    labels = np.ones(part.n, dtype=int)
+    for k in part.negative:
+        labels[k] = 0 if dist[k] > mu * d_max_n else 1
+    for k in part.positive:
+        labels[k] = 0 if dist[k] < mu * d_max_p else 1
+    labels[part.anchor_index] = 0
+    return labels
+
+
+@pytest.mark.parametrize("n_views", [2, 3])
+def test_labels_match_per_sample_reference_bytewise(n_views):
+    rng = np.random.default_rng(90 + n_views)
+    for _ in range(100):
+        parts = random_geometry(rng, n_views)
+        mu = float(rng.uniform(0.1, 0.9))
+        labels = assignment_from_partitions(parts, mu)
+        ref = np.stack([_ref_assign_difficulty(part, mu) for part in parts])
+        assert labels.dtype == ref.dtype and labels.shape == ref.shape
+        assert labels.tobytes() == ref.tobytes()
 
 
 def test_collect_inconsistent_two_views():
@@ -118,9 +160,9 @@ def toy_inconsistent_setup(seed=3, n=40):
     views = [rng.normal(size=(n, 6)), rng.normal(size=(n, 4))]
     ds = MultiViewDataset(views)
     parts = [build_partition(ds, v, 0, n // 2) for v in range(2)]
-    assignment = assignment_from_partitions(parts, 0.618)
-    pairs = collect_inconsistent(assignment.labels)
-    return ds, parts, assignment, pairs
+    labels = assignment_from_partitions(parts, 0.618)
+    pairs = collect_inconsistent(labels)
+    return ds, parts, labels, pairs
 
 
 def test_minimax_lr_zero_keeps_parameters():
@@ -179,28 +221,25 @@ def test_minimax_agreement_rises_on_toy_set():
 
 
 def test_resolution_removes_all_disagreements():
-    ds, _, assignment, pairs = toy_inconsistent_setup()
+    ds, _, labels, pairs = toy_inconsistent_setup()
     model = build_reconciler([6, 4], np.random.default_rng(0), learning_rate=1e-3)
     train_reconciler(model, ds, pairs, epochs=5, batch_size=16, t_steps=2, seed=2)
-    resolved = resolve_labels(model, ds, assignment)
-    assert collect_inconsistent(resolved.labels) == []
+    resolved = resolve_labels(model, ds, labels)
+    assert collect_inconsistent(resolved) == []
     # consistent samples keep their original labels
     disagreeing = {k for k, _, _ in pairs}
     for k in range(ds.n):
         if k not in disagreeing:
-            assert resolved.labels[0, k] == assignment.labels[0, k]
+            assert resolved[0, k] == labels[0, k]
 
 
 def test_resolution_noop_without_pairs(rng):
     views = [rng.normal(size=(10, 3)), rng.normal(size=(10, 3))]
     ds = MultiViewDataset(views)
     labels = np.zeros((2, 10), dtype=int)
-    from mvclust.difficulty import DifficultyAssignment
-    assignment = DifficultyAssignment(
-        labels, [np.full(10, "P"), np.full(10, "P")])
     model = build_reconciler([3, 3], rng)
-    resolved = resolve_labels(model, ds, assignment)
-    np.testing.assert_array_equal(resolved.labels, labels)
+    resolved = resolve_labels(model, ds, labels)
+    np.testing.assert_array_equal(resolved, labels)
 
 
 def test_three_view_resolution_is_total(rng):
@@ -208,19 +247,28 @@ def test_three_view_resolution_is_total(rng):
              rng.normal(size=(20, 5))]
     ds = MultiViewDataset(views)
     parts = [build_partition(ds, v, 0, 10) for v in range(3)]
-    assignment = assignment_from_partitions(parts, 0.618)
+    labels = assignment_from_partitions(parts, 0.618)
     model = build_reconciler([3, 4, 5], rng)
-    resolved = resolve_labels(model, ds, assignment)
-    assert collect_inconsistent(resolved.labels) == []
+    resolved = resolve_labels(model, ds, labels)
+    assert collect_inconsistent(resolved) == []
 
 
 def test_export_difficulty(tmp_path):
-    ds, _, assignment, pairs = toy_inconsistent_setup()
+    ds, parts, labels, pairs = toy_inconsistent_setup()
     path = tmp_path / "difficulty.csv"
-    export_difficulty(assignment, assignment, str(path))
+    export_difficulty(parts, labels, labels, str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "sample_index,view,region,raw_label,resolved_label"
     assert len(lines) == 1 + 2 * ds.n
+    for row, line in enumerate(lines[1:]):
+        k, v, region, raw, resolved = line.split(",")
+        k, v = int(k), int(v)
+        part = parts[v]
+        assert (k, v) == (row % ds.n, row // ds.n)
+        assert region == ("A" if k == part.anchor_index else
+                          "P" if k in part.positive else
+                          "N" if k in part.negative else "?")
+        assert int(raw) == int(resolved) == labels[v, k]
 
 
 def test_embedder_nets_share_one_flat_vector():
@@ -263,10 +311,10 @@ def _ref_embed(model, ds, k, i, j):
     return e_i, e_f, e_j
 
 
-def _ref_resolve(model, ds, assignment):
+def _ref_resolve(model, ds, labels):
     """Labels written pair by pair in pair order, then the mean-verdict
     fallback for samples left mixed. Returns (labels, fallback samples)."""
-    labels = assignment.labels.copy()
+    labels = labels.copy()
     verdicts = []
     for k, i, j in collect_inconsistent(labels):
         p, _ = model.classify(_ref_embed(model, ds, k, i, j)[1])
@@ -302,24 +350,24 @@ def many_view_setup(views, n=60):
     rng = np.random.default_rng(0)
     ds = MultiViewDataset([rng.normal(size=(n, 3 + v)) for v in range(views)])
     parts = [build_partition(ds, v, 0, n // 2) for v in range(views)]
-    assignment = assignment_from_partitions(parts, 0.618)
-    return ds, assignment, collect_inconsistent(assignment.labels)
+    labels = assignment_from_partitions(parts, 0.618)
+    return ds, labels, collect_inconsistent(labels)
 
 
 @pytest.mark.parametrize("views", [2, 3, 4])
 def test_batched_pair_passes_match_per_pair_references(views):
     if views == 2:
-        ds, _, assignment, pairs = toy_inconsistent_setup()
+        ds, _, labels, pairs = toy_inconsistent_setup()
     else:
-        ds, assignment, pairs = many_view_setup(views)
+        ds, labels, pairs = many_view_setup(views)
     model = build_reconciler([v.shape[1] for v in ds.views],
                              np.random.default_rng(13), learning_rate=1e-3)
     train_reconciler(model, ds, pairs, epochs=5, batch_size=16, t_steps=2, seed=2)
 
-    ref_labels, mixed = _ref_resolve(model, ds, assignment)
+    ref_labels, mixed = _ref_resolve(model, ds, labels)
     if views > 2:
         assert mixed, "the set must reach the mean-verdict fallback"
-    np.testing.assert_array_equal(resolve_labels(model, ds, assignment).labels,
+    np.testing.assert_array_equal(resolve_labels(model, ds, labels),
                                   ref_labels)
     assert (similarity_direction_rate(model, ds, pairs)
             == _ref_direction_rate(model, ds, pairs))

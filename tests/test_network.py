@@ -31,9 +31,9 @@ def test_golden_section_value():
 
 
 def test_gate_hand_values():
-    assert gate(62, 100).open          # 62 > 61.8
-    assert not gate(61, 100).open
-    assert not gate(0, 100).open
+    assert gate(62, 100) is True          # 62 > 61.8
+    assert gate(61, 100) is False
+    assert gate(0, 100) is False
 
 
 def test_gate_bounds():
@@ -48,9 +48,9 @@ def test_gate_flip_exact():
         threshold = GOLDEN_SECTION * n
         above = int(np.ceil(threshold))
         if above > threshold:
-            assert gate(above, n).open
+            assert gate(above, n)
         if above - 1 >= 0:
-            assert not gate(above - 1, n).open
+            assert not gate(above - 1, n)
 
 
 def test_ae_closed_identity_nets(rng):

@@ -326,7 +326,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     # data errors, each in one line: unreadable, malformed or unequal label
     # files for eval (rows numbered from 1, blank lines counted), bad synth
     # flags, ablate into an existing file, an artifacts.npz that is no npz
-    # archive, lacks z or holds a 1-D z, and an export into a missing directory
+    # archive, lacks z or holds a 1-D z, an export into a missing directory,
+    # and run or ablate output files that cannot be written
     good, short, broken = (tmp_path / name
                            for name in ("good", "short", "broken"))
     not_npz, no_z, flat_z, run_dir = (
@@ -342,6 +343,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     good.write_text("0\n1\n1\n")
     short.write_text("0\n1\n")
     broken.write_text("0\n\n1,oops\n")
+    # a directory where run or ablate writes one of its output files
+    blocked = []
+    for name in ("difficulty.csv", "training_log.csv", "artifacts.npz",
+                 "checkpoint.npz", "metrics.txt", "run_info.txt"):
+        out = tmp_path / f"blocked_{name}"
+        (out / name).mkdir(parents=True)
+        blocked.append((["run", "--config", cfg, "--out", str(out)],
+                        f"cannot write {out / name}: Is a directory"))
+    out = tmp_path / "blocked_ablate"
+    (out / "ablation_summary.txt").mkdir(parents=True)
+    blocked.append((["ablate", "--config", cfg, "--variants", "NONE",
+                     "--out", str(out)],
+                    f"cannot write {out / 'ablation_summary.txt'}: Is a directory"))
     for argv, expected in (
         (["eval", "--pred", str(tmp_path / "no.txt"),
           "--truth", str(tmp_path / "no.txt")], "no.txt"),
@@ -365,6 +379,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["export", "--run-dir", str(flat_z)], "artifacts.npz"),
         (["export", "--run-dir", str(run_dir),
           "--dest", str(tmp_path / "missing" / "emb.csv")], "missing"),
+        *blocked,
     ):
         capsys.readouterr()
         assert main(argv) == 3, argv

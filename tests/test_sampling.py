@@ -6,18 +6,19 @@ from mvclust.errors import DataError, NumericalError
 from mvclust.sampling import (PaceSchedule, compute_probabilities, easy_prob,
                               hard_prob, pace_value, selection_mask)
 
-from test_difficulty import partition_from_distances, toy_inconsistent_setup
+from test_difficulty import (partition_from_distances, random_geometry,
+                             toy_inconsistent_setup)
 
 
 def test_easy_prob_hand_values():
-    assert abs(easy_prob(8.0, 10.0, "N") - 0.8) < 1e-12
-    assert abs(easy_prob(2.0, 10.0, "P") - 0.8) < 1e-12
-    assert easy_prob(10.0, 10.0, "N") == 1.0
+    assert abs(easy_prob(8.0, 10.0, False) - 0.8) < 1e-12
+    assert abs(easy_prob(2.0, 10.0, True) - 0.8) < 1e-12
+    assert easy_prob(10.0, 10.0, False) == 1.0
 
 
 def test_easy_prob_degenerate_rejected():
     with pytest.raises(NumericalError):
-        easy_prob(0.0, 0.0, "N")
+        easy_prob(0.0, 0.0, False)
 
 
 def test_hard_prob_hand_values():
@@ -39,43 +40,91 @@ def random_premise_partition(rng):
         dist = np.sort(rng.uniform(0.05, 5.0, size=n - 1))
         k = int(rng.integers(2, n - 2))
         part = partition_from_distances(dist, k=k)
-        assignment = assignment_from_partitions([part, part], 0.618)
-        labels = assignment.labels[0]
+        labels = assignment_from_partitions([part, part], 0.618)
         d = part.anchor_distances
         hard = [s for s in range(part.n)
-                if labels[s] == 1 and s != part.anchor_index]
+                if labels[0, s] == 1 and s != part.anchor_index]
         easy = [s for s in range(part.n)
-                if labels[s] == 0 and s != part.anchor_index]
+                if labels[0, s] == 0 and s != part.anchor_index]
         if not hard or not easy:
             continue
         d_max_n = d[part.negative].max()
         if d[hard].sum() > d_max_n:  # the premise
-            return part, assignment, np.array(easy), np.array(hard)
+            return part, labels, np.array(easy), np.array(hard)
 
 
-def probs_for_view(part, assignment, view=0):
-    state = compute_probabilities(assignment, [part, part])
-    return state.per_view[view]
+def probs_for_view(part, labels, view=0):
+    return compute_probabilities(labels, [part, part])[view]
 
 
 def test_theorem_ordering_sample(rng):
     # larger seeded sweep lives in the acceptance suite
     for _ in range(50):
-        part, assignment, easy, hard = random_premise_partition(rng)
-        p = probs_for_view(part, assignment)
+        part, labels, easy, hard = random_premise_partition(rng)
+        p = probs_for_view(part, labels)
         assert p[easy].min() > p[hard].max()
 
 
 def test_probabilities_in_range(rng):
-    ds, parts, assignment, _ = toy_inconsistent_setup()
+    ds, parts, labels, _ = toy_inconsistent_setup()
     # make labels consistent by copying view 0
-    assignment.labels[1] = assignment.labels[0]
-    state = compute_probabilities(assignment, parts)
-    assert np.all(state.per_view >= 0.0)
-    easy = assignment.labels[0] == 0
-    assert np.all(state.per_view[0][easy] <= 1.0 + 1e-12)
-    np.testing.assert_allclose(state.averaged,
-                               state.per_view.mean(axis=0))
+    labels[1] = labels[0]
+    probs = compute_probabilities(labels, parts)
+    assert np.all(probs >= 0.0)
+    easy = labels[0] == 0
+    assert np.all(probs[0][easy] <= 1.0 + 1e-12)
+
+
+def _ref_compute_probabilities(labels, partitions):
+    """Per-view probabilities one sample at a time, as the package once wrote
+    them. Returns the (V, n) matrix and how many values were clamped."""
+    per_view = np.zeros(labels.shape)
+    clamped = 0
+    for v, part in enumerate(partitions):
+        dist = part.anchor_distances
+        d_max = dist[part.negative].max()
+        hard_idx = np.array([k for k in range(part.n)
+                             if labels[v, k] == 1 and k != part.anchor_index],
+                            dtype=int)
+        if hard_idx.size:
+            hard_d = dist[hard_idx]
+            d_med = float(np.median(hard_d))
+            sum_d = float(hard_d.sum())
+        for k in range(part.n):
+            if k == part.anchor_index:
+                per_view[v, k] = 1.0
+            elif labels[v, k] == 0:
+                per_view[v, k] = (1.0 - dist[k] / d_max if k in part.positive
+                                  else dist[k] / d_max)
+            else:
+                per_view[v, k] = abs(dist[k] - d_med) / sum_d
+        easy_mask = labels[v] == 0
+        if easy_mask.any() and hard_idx.size:
+            min_easy = per_view[v, easy_mask].min()
+            ceiling = max(min_easy - 1e-9, 0.0)
+            too_big = per_view[v, hard_idx] >= min_easy
+            per_view[v, hard_idx[too_big]] = ceiling
+            clamped += int(too_big.sum())
+    return per_view, clamped
+
+
+@pytest.mark.parametrize("n_views", [2, 3])
+def test_probabilities_match_per_sample_reference_bytewise(n_views):
+    # raw labels of random geometries, and the same labels with random flips
+    # (which can make the anchor difficult)
+    rng = np.random.default_rng(70 + n_views)
+    clamped = anchor_difficult = 0
+    for _ in range(100):
+        parts = random_geometry(rng, n_views)
+        labels = assignment_from_partitions(parts, float(rng.uniform(0.1, 0.9)))
+        flipped = labels ^ (rng.uniform(size=labels.shape) < 0.2)
+        for lab in (labels, flipped):
+            ref, count = _ref_compute_probabilities(lab, parts)
+            assert compute_probabilities(lab, parts).tobytes() == ref.tobytes()
+            clamped += count
+        anchor_difficult += int(flipped[:, parts[0].anchor_index].any())
+    assert clamped > 0, "the sweep must reach the clamp"
+    assert anchor_difficult > 0, "the sweep must label the anchor difficult"
 
 
 def test_pace_schedule_validation():
@@ -127,16 +176,15 @@ def test_mask_monotone_in_pace(rng):
 
 def test_first_epoch_selects_only_easy(rng):
     for _ in range(20):
-        part, assignment, easy, hard = random_premise_partition(rng)
-        p = probs_for_view(part, assignment)
+        part, labels, easy, hard = random_premise_partition(rng)
+        p = probs_for_view(part, labels)
         sched = PaceSchedule(max_epochs=100, initial_fraction=0.05)
         if int(np.ceil(0.05 * len(p))) > len(easy):
             continue
         lam0 = pace_value(sched, 0, p)
         selected = np.nonzero(selection_mask(p, lam0))[0]
-        labels = assignment.labels[0]
         for s in selected:
-            assert labels[s] == 0
+            assert labels[0, s] == 0
 
 
 def test_masks_deterministic(rng):
