@@ -256,6 +256,8 @@ def make_synthetic(out_dir, clusters, samples, views=2, noise=0.1, seed=0,
             raise DataError(f"{name} must be finite and >= 0, got {value}")
     if not 0 <= outlier_fraction <= 1:
         raise DataError(f"outlier_fraction must be in [0, 1], got {outlier_fraction}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if view_dims is None:
         view_dims = [base_dim * 3 + 2 * i for i in range(views)]
@@ -270,11 +272,17 @@ def make_synthetic(out_dir, clusters, samples, views=2, noise=0.1, seed=0,
         latent[bad] = 0.5 * (centers[labels[bad]] + centers[other]) \
             + rng.normal(0.0, 0.25, size=(n_bad, base_dim))
         noise_scale[bad] = noise * outlier_scale
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        # per view, the projection is drawn first and then the noise
+        tables = [latent @ rng.normal(0.0, 1.0, size=(base_dim, d))
+                  + noise_scale[:, None] * rng.normal(0.0, 1.0, size=(samples, d))
+                  for d in view_dims]
+    if not all(np.isfinite(data).all() for data in tables):
+        raise DataError(f"noise {noise} with outlier_scale {outlier_scale} "
+                        "overflows the views")
     os.makedirs(out_dir, exist_ok=True)
     view_files = []
-    for v, d in enumerate(view_dims):
-        proj = rng.normal(0.0, 1.0, size=(base_dim, d))
-        data = latent @ proj + noise_scale[:, None] * rng.normal(0.0, 1.0, size=(samples, d))
+    for v, data in enumerate(tables):
         fname = f"view{v}.csv"
         np.savetxt(os.path.join(out_dir, fname), data, delimiter=",", fmt="%.10f")
         view_files.append(fname)

@@ -129,22 +129,6 @@ class ReconcilerModel:
     embed_params: np.ndarray
     embed_slices: dict
 
-    def embed_view(self, x, view_index):
-        head = self.view_heads[view_index]
-        h, c_head = head.forward(np.atleast_2d(x))
-        e, c_trunk = self.trunk.forward(h)
-        return e, (c_head, c_trunk)
-
-    def embed_pair(self, x_fused, pair_key):
-        head = self.pair_heads[pair_key]
-        h, c_head = head.forward(np.atleast_2d(x_fused))
-        e, c_trunk = self.trunk.forward(h)
-        return e, (c_head, c_trunk)
-
-    def classify(self, e):
-        p, cache = self.classifier.forward(np.atleast_2d(e))
-        return clamp_prob(p), cache
-
 
 def build_reconciler(view_dims, rng, embed_width=32, head_width=64,
                      margin=0.05, pseudo_label=0.5, sim_weight=0.3,
@@ -183,61 +167,64 @@ def build_reconciler(view_dims, rng, embed_width=32, head_width=64,
     )
 
 
-def _pair_groups(dataset, pairs):
-    """For each view pair (i, j), in sorted order: the pair's sample indices,
-    in the order ``pairs`` lists them, and their rows of view i, of view j and
-    fused (the two concatenated)."""
-    groups = {}
-    for k, i, j in pairs:
-        groups.setdefault((i, j), []).append(k)
-    for (i, j), ks in sorted(groups.items()):
-        ks = np.array(ks)
-        x_i = dataset.views[i][ks]
-        x_j = dataset.views[j][ks]
-        yield (i, j), ks, x_i, x_j, np.hstack([x_i, x_j])
-
-
 @dataclass
 class _StackedBatch:
-    """One minimax batch laid out for a single pass per net.
+    """Pairs laid out for a single pass per net.
 
+    ``groups`` holds ((i, j), sample indices) for each view pair, in order.
     ``heads`` holds (head key, input rows) for each head that has rows: the
     view heads in view order, each with that view's rows from every group it
     is in, then the pair heads in view-pair order with their fused rows. The
     trunk runs over the head outputs stacked in that order, and ``at_i``,
     ``at_j`` and ``at_f`` index each group's e_i, e_j and e_f rows there,
     group after group, so together they cover every stacked row once and
-    each holds one row per pair of the batch.
+    each holds one row per pair.
     """
 
+    groups: list
     heads: list
     at_i: np.ndarray
     at_j: np.ndarray
     at_f: np.ndarray
 
 
-def _stack_batch(dataset, batch):
-    """Stack a batch of (sample, view_i, view_j) pairs for
-    ``_batch_losses_and_grads``; built once and reused by every pass over
-    the batch."""
-    groups = list(_pair_groups(dataset, batch))
-    view_rows = {}
-    for (i, j), _, x_i, x_j, _ in groups:
+def _stack_batch(dataset, pairs):
+    """Stack (sample, view_i, view_j) pairs for ``_embed``; a minimax batch
+    is stacked once and reused by every pass over it."""
+    groups = {}
+    for k, i, j in pairs:
+        groups.setdefault((i, j), []).append(k)
+    groups = [(key, np.array(ks)) for key, ks in sorted(groups.items())]
+    view_rows, pair_rows = {}, []
+    for (i, j), ks in groups:
+        x_i, x_j = dataset.views[i][ks], dataset.views[j][ks]
         view_rows.setdefault(i, []).append(x_i)
         view_rows.setdefault(j, []).append(x_j)
-    heads = [(v, np.concatenate(view_rows[v])) for v in sorted(view_rows)]
-    heads += [(key, x_f) for key, _, _, _, x_f in groups]
+        pair_rows.append(((i, j), np.hstack([x_i, x_j])))
+    heads = [(v, np.concatenate(view_rows[v])) for v in sorted(view_rows)] + pair_rows
     cursor, start = {}, 0    # head key -> its next unclaimed stacked row
     for key, x in heads:
         cursor[key] = start
         start += len(x)
     at_i, at_j, at_f = [], [], []
-    for (i, j), ks, _, _, _ in groups:
+    for (i, j), ks in groups:
         for at, key in ((at_i, i), (at_j, j), (at_f, (i, j))):
             at.append(np.arange(cursor[key], cursor[key] + len(ks)))
             cursor[key] += len(ks)
-    return _StackedBatch(heads, np.concatenate(at_i),
+    return _StackedBatch(groups, heads, np.concatenate(at_i),
                          np.concatenate(at_j), np.concatenate(at_f))
+
+
+def _embed(model, stacked):
+    """The embedder's forward over a stacked batch: one pass per head with
+    rows, then one trunk pass over all their outputs. Returns the stacked
+    embeddings, each head's (net, cache) in ``stacked.heads`` order and the
+    trunk's cache."""
+    heads = [model.pair_heads[key] if isinstance(key, tuple)
+             else model.view_heads[key] for key, _ in stacked.heads]
+    head_out = [head.forward(x) for head, (_, x) in zip(heads, stacked.heads)]
+    e, c_trunk = model.trunk.forward(np.concatenate([h for h, _ in head_out]))
+    return e, [(head, c) for head, (_, c) in zip(heads, head_out)], c_trunk
 
 
 def _batch_losses_and_grads(model, stacked, embedder=True):
@@ -254,10 +241,7 @@ def _batch_losses_and_grads(model, stacked, embedder=True):
     b = len(stacked.at_i)
     alpha, beta, ell, m = (model.sim_weight, model.adv_weight,
                            model.pseudo_label, model.margin)
-    heads = [(key, model.pair_heads[key] if isinstance(key, tuple)
-              else model.view_heads[key], x) for key, x in stacked.heads]
-    head_out = [head.forward(x) for _, head, x in heads]
-    e, c_trunk = model.trunk.forward(np.concatenate([h for h, _ in head_out]))
+    e, head_caches, c_trunk = _embed(model, stacked)
     e_i, e_j = e[stacked.at_i], e[stacked.at_j]
     sim, dsim_ei, dsim_ef, dsim_ej = _hinge(e_i, e[stacked.at_f], e_j, m)
 
@@ -279,7 +263,7 @@ def _batch_losses_and_grads(model, stacked, embedder=True):
     _, dh = model.trunk.backward(c_trunk, g_e,
                                  g_embed[model.embed_slices["trunk"]])
     start = 0
-    for (key, head, x), (_, c_head) in zip(heads, head_out):
+    for (key, x), (head, c_head) in zip(stacked.heads, head_caches):
         head.backward(c_head, dh[start:start + len(x)],
                       g_embed[model.embed_slices[key]])
         start += len(x)
@@ -334,13 +318,16 @@ def resolve_labels(model, dataset, labels):
     """
     labels = labels.copy()
     pairs = collect_inconsistent(labels)
+    if not pairs:
+        return labels
+    stacked = _stack_batch(dataset, pairs)
+    e = _embed(model, stacked)[0]
+    p = clamp_prob(model.classifier.forward(e[stacked.at_f])[0][:, 0])
     verdicts = {}   # sample -> verdicts on its fused pairs, in view-pair order
-    for (i, j), ks, _, _, x_f in _pair_groups(dataset, pairs):
-        e_f, _ = model.embed_pair(x_f, (i, j))
-        p, _ = model.classify(e_f)
-        p = p[:, 0]
-        labels[i, ks] = labels[j, ks] = p >= 0.5
-        for k, p_k in zip(ks.tolist(), p.tolist()):
+    for (i, j), ks in stacked.groups:
+        p_g, p = p[:len(ks)], p[len(ks):]
+        labels[i, ks] = labels[j, ks] = p_g >= 0.5
+        for k, p_k in zip(ks.tolist(), p_g.tolist()):
             verdicts.setdefault(k, []).append(p_k)
     # With 3+ views, the pair verdicts, written in view-pair order, can leave
     # a sample mixed; fall back to the mean verdict over all its fused pairs.
@@ -353,12 +340,13 @@ def classifier_agreement_rate(model, dataset, pairs):
     """Fraction of pairs whose two members get the same classifier verdict."""
     if not pairs:
         return 1.0
-    agree = 0
-    for (i, j), _, x_i, x_j, _ in _pair_groups(dataset, pairs):
-        p_i, _ = model.classify(model.embed_view(x_i, i)[0])
-        p_j, _ = model.classify(model.embed_view(x_j, j)[0])
-        agree += int(((p_i >= 0.5) == (p_j >= 0.5)).sum())
-    return agree / len(pairs)
+    b = len(pairs)
+    stacked = _stack_batch(dataset, pairs)
+    e = _embed(model, stacked)[0]
+    p, _ = model.classifier.forward(e[np.concatenate([stacked.at_i,
+                                                      stacked.at_j])])
+    difficult = p[:, 0] >= 0.5
+    return int((difficult[:b] == difficult[b:]).sum()) / b
 
 
 def similarity_direction_rate(model, dataset, pairs):
@@ -366,15 +354,12 @@ def similarity_direction_rate(model, dataset, pairs):
     first member than to the second. Logged, never asserted."""
     if not pairs:
         return 0.0
-    hits = 0
-    for (i, j), _, x_i, x_j, x_f in _pair_groups(dataset, pairs):
-        e_f, _ = model.embed_pair(x_f, (i, j))
-        e_i, _ = model.embed_view(x_i, i)
-        e_j, _ = model.embed_view(x_j, j)
-        d_i = ((e_f - e_i) ** 2).sum(axis=1)
-        d_j = ((e_f - e_j) ** 2).sum(axis=1)
-        hits += int((d_i < d_j).sum())
-    return hits / len(pairs)
+    stacked = _stack_batch(dataset, pairs)
+    e = _embed(model, stacked)[0]
+    e_f = e[stacked.at_f]
+    d_i = ((e_f - e[stacked.at_i]) ** 2).sum(axis=1)
+    d_j = ((e_f - e[stacked.at_j]) ** 2).sum(axis=1)
+    return int((d_i < d_j).sum()) / len(pairs)
 
 
 def export_difficulty(partitions, raw, resolved, path):

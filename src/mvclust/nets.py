@@ -16,6 +16,8 @@ from .errors import NumericalError, ShapeError
 
 # Probabilities are clamped into this range before any logarithm.
 PROB_EPS = 1e-7
+# Adam's decay rates of the first and second moments, and its epsilon.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.5, 0.99, 1e-8
 
 _ACTIVATIONS = ("identity", "relu", "sigmoid")
 
@@ -191,9 +193,6 @@ class AdamState:
     """Adam moments of one parameter vector, allocated on the first step."""
 
     learning_rate: float = 1e-4
-    beta1: float = 0.5
-    beta2: float = 0.99
-    epsilon: float = 1e-8
     step: int = 0
     m: np.ndarray = None
     v: np.ndarray = None
@@ -233,7 +232,7 @@ def adam_step(state, params, grads):
                          f"parameters have {params.size}")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for start in range(0, params.size, ADAM_CHUNK):
         chunk = slice(start, start + ADAM_CHUNK)
         p, g, m, v = params[chunk], grads[chunk], state.m[chunk], state.v[chunk]
@@ -247,7 +246,7 @@ def adam_step(state, params, grads):
         v += step
         denom = np.divide(v, 1.0 - b2 ** t)
         np.sqrt(denom, out=denom)
-        denom += state.epsilon
+        denom += ADAM_EPSILON
         np.divide(m, 1.0 - b1 ** t, out=step)
         np.multiply(state.learning_rate, step, out=step)
         step /= denom

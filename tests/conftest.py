@@ -35,6 +35,15 @@ def assert_grads_close(analytic, numeric, tol=1e-4):
     assert worst < tol, f"max relative gradient error {worst:.3e} >= {tol}"
 
 
+def embed_rows(model, key, x):
+    """Rows ``x`` through one reconciler head (a view index or a view-index
+    pair) and then the trunk: the embeddings and (head cache, trunk cache)."""
+    head = model.pair_heads[key] if isinstance(key, tuple) else model.view_heads[key]
+    h, c_head = head.forward(np.atleast_2d(x))
+    e, c_trunk = model.trunk.forward(h)
+    return e, (c_head, c_trunk)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -22,7 +22,7 @@ from mvclust.pipeline import export_embeddings, load_config, run
 from mvclust.sampling import (PaceSchedule, compute_probabilities, easy_prob,
                               hard_prob, pace_value)
 
-from conftest import numerical_grads, rel_err
+from conftest import embed_rows, numerical_grads, rel_err
 from test_difficulty import partition_from_distances
 from test_sampling import random_premise_partition
 
@@ -211,9 +211,9 @@ def _smoothness_margin(model, ds, batch):
     for k, i, j in batch:
         x_i = ds.views[i][k:k + 1]
         x_j = ds.views[j][k:k + 1]
-        e_i, (ch_i, ct_i) = model.embed_view(x_i, i)
-        e_j, (ch_j, ct_j) = model.embed_view(x_j, j)
-        e_f, (ch_f, ct_f) = model.embed_pair(np.hstack([x_i, x_j]), (i, j))
+        e_i, (ch_i, ct_i) = embed_rows(model, i, x_i)
+        e_j, (ch_j, ct_j) = embed_rows(model, j, x_j)
+        e_f, (ch_f, ct_f) = embed_rows(model, (i, j), np.hstack([x_i, x_j]))
         s = model.margin + ((e_f - e_i) ** 2).sum() - ((e_f - e_j) ** 2).sum()
         margin = min(margin, abs(float(s)))
         for e in (e_i, e_j):

@@ -92,3 +92,89 @@ def test_readme_config_reference_matches_schema():
             else:
                 value = type(default)(text)
             assert (value, doc_rule) == (default, rule), f"{section}.{key}"
+
+
+# --- synth flags and eval label files ----------------------------------------
+
+NEGATIVE = st.floats(max_value=-5e-324)
+# out of range, or (noise) so large that the generated views overflow
+SYNTH_INVALID = {
+    "--clusters": st.integers(max_value=1),
+    "--samples": st.integers(max_value=29),          # 3 clusters need 30
+    "--views": st.integers(max_value=1),
+    "--seed": st.integers(max_value=-1),
+    "--noise": NEGATIVE | st.floats(min_value=1e308) | st.just(float("nan")),
+    "--outlier-fraction": NEGATIVE | st.floats(min_value=1.0, exclude_min=True)
+    | st.just(float("nan")),
+    "--outlier-scale": NEGATIVE | st.sampled_from([float("inf"), float("nan")]),
+}
+
+
+def _one_line_exit(argv, code):
+    """Run the CLI; it must exit with ``code`` and write one stderr line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == code, argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize("flag", SYNTH_INVALID)
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_every_invalid_synth_flag_exits_3_and_writes_nothing(flag, data):
+    value = data.draw(SYNTH_INVALID[flag], label=flag)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "blobs")
+        # "--flag=value": argparse reads a lone "-1e+16" as an option
+        _one_line_exit(["synth", "--out", out, "--samples", "40",
+                        f"{flag}={value!r}"], 3)
+        assert os.listdir(tmp) == []
+
+
+INT_LABEL = st.integers(-5, 5).map(str)
+# one line that is no integer label below 2**53
+BAD_LABEL = (
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1_0", "0x1", "\u0661"])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    .filter(lambda x: not x.is_integer()).map(repr)
+    | st.integers(min_value=2**53).map(str)
+    | st.integers(max_value=-2**53).map(str)
+    | st.tuples(INT_LABEL, st.text(alphabet="abdgkxyz", min_size=1, max_size=4))
+    .map("".join)
+    | st.tuples(st.lists(INT_LABEL, min_size=2, max_size=3),
+                st.sampled_from([",", ";"])).map(lambda t: t[1].join(t[0]))
+)
+
+
+@st.composite
+def bad_label_file(draw):
+    """Contents of a label file that ``eval`` must reject in one line, next
+    to a valid file of two labels."""
+    kind = draw(st.sampled_from(["line", "length", "blank", "binary"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "\n", "  \n\n"])).encode()
+    if kind == "binary":
+        return b"0\n\xff\xfe\n"
+    if kind == "length":
+        lines = draw(st.lists(INT_LABEL, min_size=1, max_size=6)
+                     .filter(lambda lines: len(lines) != 2))
+    else:
+        lines = draw(st.lists(INT_LABEL, max_size=4))
+        lines.insert(draw(st.integers(0, len(lines))), draw(BAD_LABEL))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("side", ["--pred", "--truth"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(contents=bad_label_file())
+def test_every_invalid_label_file_exits_3_naming_it(side, contents):
+    with tempfile.TemporaryDirectory() as tmp:
+        good, bad = os.path.join(tmp, "good.txt"), os.path.join(tmp, "bad.txt")
+        with open(good, "w") as fh:
+            fh.write("0\n1\n")
+        with open(bad, "wb") as fh:
+            fh.write(contents)
+        other = "--truth" if side == "--pred" else "--pred"
+        assert bad in _one_line_exit(["eval", side, bad, other, good], 3)

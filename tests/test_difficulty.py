@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from mvclust.difficulty import (ReconcilerModel, adv_loss, assign_difficulty,
                                 _batch_losses_and_grads, _stack_batch,
                                 train_reconciler)
 from mvclust.errors import DataError
+from mvclust.nets import Net, clamp_prob
 
-from conftest import rel_err
+from conftest import embed_rows, rel_err
 
 
 def partition_from_distances(distances, k, anchor=0):
@@ -131,7 +134,7 @@ def test_collect_inconsistent_three_views():
 def test_fused_head_lands_in_embedding_width(rng):
     model = build_reconciler([3, 5], rng, embed_width=8)
     fused = np.concatenate([rng.normal(size=3), rng.normal(size=5)])
-    e, _ = model.embed_pair(fused, (0, 1))
+    e, _ = embed_rows(model, (0, 1), fused)
     assert e.shape == (1, 8)
 
 
@@ -305,9 +308,9 @@ def _ref_embed(model, ds, k, i, j):
     """Embeddings of sample k's view-i member, view-j member and fused pair,
     one forward per net on that single pair."""
     x_i, x_j = ds.views[i][k:k + 1], ds.views[j][k:k + 1]
-    e_i, _ = model.embed_view(x_i, i)
-    e_j, _ = model.embed_view(x_j, j)
-    e_f, _ = model.embed_pair(np.concatenate([x_i, x_j], axis=1), (i, j))
+    e_i, _ = embed_rows(model, i, x_i)
+    e_j, _ = embed_rows(model, j, x_j)
+    e_f, _ = embed_rows(model, (i, j), np.concatenate([x_i, x_j], axis=1))
     return e_i, e_f, e_j
 
 
@@ -317,7 +320,8 @@ def _ref_resolve(model, ds, labels):
     labels = labels.copy()
     verdicts = []
     for k, i, j in collect_inconsistent(labels):
-        p, _ = model.classify(_ref_embed(model, ds, k, i, j)[1])
+        e_f = _ref_embed(model, ds, k, i, j)[1]
+        p = clamp_prob(model.classifier.forward(e_f)[0])
         verdicts.append((k, float(p[0, 0])))
         labels[i, k] = labels[j, k] = int(p[0, 0] >= 0.5)
     mixed = sorted({k for k, _, _ in collect_inconsistent(labels)})
@@ -338,8 +342,8 @@ def _ref_agreement_rate(model, ds, pairs):
     agree = 0
     for k, i, j in pairs:
         e_i, _, e_j = _ref_embed(model, ds, k, i, j)
-        p_i, _ = model.classify(e_i)
-        p_j, _ = model.classify(e_j)
+        p_i, _ = model.classifier.forward(e_i)
+        p_j, _ = model.classifier.forward(e_j)
         agree += int((p_i[0, 0] >= 0.5) == (p_j[0, 0] >= 0.5))
     return agree / len(pairs)
 
@@ -375,15 +379,47 @@ def test_batched_pair_passes_match_per_pair_references(views):
             == _ref_agreement_rate(model, ds, pairs))
 
 
+def test_pair_passes_make_one_forward_per_net(monkeypatch):
+    ds, labels, pairs = many_view_setup(3)
+    model = build_reconciler([v.shape[1] for v in ds.views],
+                             np.random.default_rng(13))
+    names = {id(net): key for key, net in
+             (("trunk", model.trunk), ("classifier", model.classifier),
+              *model.view_heads.items(), *model.pair_heads.items())}
+    counts = Counter()
+    forward = Net.forward
+
+    def counted(net, x):
+        counts[names[id(net)]] += 1
+        return forward(net, x)
+
+    monkeypatch.setattr(Net, "forward", counted)
+    # pairs of groups (0, 1) and (0, 2) only: head (1, 2) has no rows
+    some = [p for p in pairs if p[1:] != (1, 2)]
+    assert {p[1:] for p in pairs} == {(0, 1), (0, 2), (1, 2)}
+    assert {p[1:] for p in some} == {(0, 1), (0, 2)}
+    for fn, fn_pairs, classifier in (
+        (lambda: resolve_labels(model, ds, labels), pairs, 1),
+        (lambda: similarity_direction_rate(model, ds, some), some, 0),
+        (lambda: classifier_agreement_rate(model, ds, some), some, 1),
+    ):
+        groups = {p[1:] for p in fn_pairs}
+        with_rows = groups | {v for group in groups for v in group}
+        counts.clear()
+        fn()
+        assert counts == Counter({"trunk": 1, "classifier": classifier,
+                                  **{key: 1 for key in with_rows}})
+
+
 def test_batch_losses_are_the_loss_functions_on_one_group():
     ds, _, _, pairs = toy_inconsistent_setup()
     model = build_reconciler([6, 4], np.random.default_rng(0))
     batch = pairs[:8]            # two views: a single (0, 1) group
     ks = [k for k, _, _ in batch]
     x_i, x_j = ds.views[0][ks], ds.views[1][ks]
-    e_i, _ = model.embed_view(x_i, 0)
-    e_j, _ = model.embed_view(x_j, 1)
-    e_f, _ = model.embed_pair(np.concatenate([x_i, x_j], axis=1), (0, 1))
+    e_i, _ = embed_rows(model, 0, x_i)
+    e_j, _ = embed_rows(model, 1, x_j)
+    e_f, _ = embed_rows(model, (0, 1), np.concatenate([x_i, x_j], axis=1))
     p_i, _ = model.classifier.forward(e_i)
     p_j, _ = model.classifier.forward(e_j)
     l_sim, l_adv, _, _ = _batch_losses_and_grads(model, _stack_batch(ds, batch))
@@ -408,9 +444,9 @@ def _ref_batch_losses_and_grads(model, ds, batch):
         groups.setdefault((i, j), []).append(k)
     for (i, j), ks in sorted(groups.items()):
         x_i, x_j = ds.views[i][ks], ds.views[j][ks]
-        e_i, cache_i = model.embed_view(x_i, i)
-        e_j, cache_j = model.embed_view(x_j, j)
-        e_f, cache_f = model.embed_pair(np.hstack([x_i, x_j]), (i, j))
+        e_i, cache_i = embed_rows(model, i, x_i)
+        e_j, cache_j = embed_rows(model, j, x_j)
+        e_f, cache_f = embed_rows(model, (i, j), np.hstack([x_i, x_j]))
         diff_i, diff_j = e_f - e_i, e_f - e_j
         s = m + (diff_i ** 2).sum(axis=1) - (diff_j ** 2).sum(axis=1)
         active = (s > 0.0).astype(float)[:, None]

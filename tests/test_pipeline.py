@@ -325,9 +325,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["export", "--run-dir", str(tmp_path)]) == 3
     # data errors, each in one line: unreadable, malformed or unequal label
     # files for eval (rows numbered from 1, blank lines counted), bad synth
-    # flags, ablate into an existing file, an artifacts.npz that is no npz
-    # archive, lacks z or holds a 1-D z, an export into a missing directory,
-    # and run or ablate output files that cannot be written
+    # flags (noise that overflows the views among them), ablate into an
+    # existing file, an artifacts.npz that is no npz archive, lacks z or holds
+    # a 1-D z, an export into a missing directory, and run or ablate output
+    # files that cannot be written
     good, short, broken = (tmp_path / name
                            for name in ("good", "short", "broken"))
     not_npz, no_z, flat_z, run_dir = (
@@ -372,6 +373,9 @@ def test_cli_exit_codes(tmp_path, capsys):
          "outlier_fraction"),
         (["synth", "--out", str(tmp_path / "blobs"), "--outlier-fraction", "-0.5"],
          "outlier_fraction"),
+        (["synth", "--out", str(tmp_path / "blobs"), "--seed", "-1"], "seed"),
+        (["synth", "--out", str(tmp_path / "blobs"), "--clusters", "2",
+          "--samples", "20", "--noise", "1e308"], "noise"),
         (["ablate", "--config", cfg, "--variants", "NONE", "--out", str(afile)],
          "experiment.out"),
         (["export", "--run-dir", str(not_npz)], "artifacts.npz"),
