@@ -21,8 +21,16 @@ def _add_run_flags(sub):
     sub.add_argument("--out", default=None, help="override experiment.out")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad flag as a ConfigError (one line, exit 2) instead of
+    printing the usage; subparsers are made of the same class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvclust",
         description="Multi-view progressive subspace clustering experiments",
     )
@@ -69,8 +77,8 @@ def _load_cfg(args):
 
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "synth":
             manifest = dat.make_synthetic(
                 args.out, args.clusters, args.samples, views=args.views,

@@ -93,22 +93,13 @@ def _contingency(pred, truth):
     return np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)
 
 
-def accuracy(pred, truth):
-    """Clustering accuracy under the optimal one-to-one cluster/class match."""
-    table = _contingency(pred, truth)
+def _acc(table):
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum() / table.sum())
 
 
-def nmi(pred, truth):
-    """Normalized mutual information with geometric-mean normalization.
-
-    Identical partitions give 1 (including the single-cluster case); if either
-    partition has zero entropy and they differ, the value is 0.
-    """
-    table = _contingency(pred, truth).astype(float)
-    n = table.sum()
-    p_ij = table / n
+def _nmi(table):
+    p_ij = table / table.sum()
     p_i = p_ij.sum(axis=1)
     p_j = p_ij.sum(axis=0)
     h_i = -np.sum(p_i[p_i > 0] * np.log(p_i[p_i > 0]))
@@ -116,10 +107,7 @@ def nmi(pred, truth):
     if h_i == 0.0 or h_j == 0.0:
         # degenerate partitions: identical iff the table is a single cell-per-
         # line match up to relabeling
-        pred = np.asarray(pred)
-        truth = np.asarray(truth)
-        same = len(np.unique(pred)) == len(np.unique(truth)) and accuracy(
-            pred, truth) == 1.0
+        same = table.shape[0] == table.shape[1] and _acc(table) == 1.0
         return 1.0 if same else 0.0
     mask = p_ij > 0
     mi = np.sum(p_ij[mask] * np.log(
@@ -128,10 +116,27 @@ def nmi(pred, truth):
     return float(mi / np.sqrt(h_i * h_j))
 
 
+def _purity(table):
+    return float(table.max(axis=1).sum() / table.sum())
+
+
+def accuracy(pred, truth):
+    """Clustering accuracy under the optimal one-to-one cluster/class match."""
+    return _acc(_contingency(pred, truth))
+
+
+def nmi(pred, truth):
+    """Normalized mutual information with geometric-mean normalization.
+
+    Identical partitions give 1 (including the single-cluster case); if either
+    partition has zero entropy and they differ, the value is 0.
+    """
+    return _nmi(_contingency(pred, truth))
+
+
 def purity(pred, truth):
     """Mean within-cluster majority fraction."""
-    table = _contingency(pred, truth)
-    return float(table.max(axis=1).sum() / table.sum())
+    return _purity(_contingency(pred, truth))
 
 
 @dataclass
@@ -139,16 +144,11 @@ class MetricReport:
     acc: float
     nmi: float
     purity: float
-    contingency: np.ndarray
 
 
 def evaluate(pred, truth):
-    return MetricReport(
-        acc=accuracy(pred, truth),
-        nmi=nmi(pred, truth),
-        purity=purity(pred, truth),
-        contingency=_contingency(pred, truth),
-    )
+    table = _contingency(pred, truth)
+    return MetricReport(acc=_acc(table), nmi=_nmi(table), purity=_purity(table))
 
 
 def format_report(report):

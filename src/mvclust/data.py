@@ -145,23 +145,28 @@ def load_views(paths, label_path=None):
 
 
 def normalize_view(view, mode="zscore"):
-    """Column-wise z-score or min-max normalization; constant columns go to 0."""
+    """Column-wise z-score or min-max normalization; constant columns go to 0.
+
+    A view whose column means, standard deviations or ranges overflow float64
+    is a DataError; no overflowed width is taken for a constant column.
+    """
     view = np.asarray(view, dtype=float)
     if view.size == 0:
         raise DataError("cannot normalize an empty view")
-    if mode == "zscore":
-        mean = view.mean(axis=0)
-        sd = view.std(axis=0)
-        sd_safe = np.where(sd > 0.0, sd, 1.0)
-        return (view - mean) / sd_safe
-    if mode == "minmax":
-        lo = view.min(axis=0)
-        hi = view.max(axis=0)
-        span = np.where(hi > lo, hi - lo, 1.0)
-        return (view - lo) / span
     if mode == "none":
         return view.copy()
-    raise DataError(f"unknown normalization mode {mode!r}")
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        if mode == "zscore":
+            shift, width = view.mean(axis=0), view.std(axis=0)
+        elif mode == "minmax":
+            shift = view.min(axis=0)
+            width = view.max(axis=0) - shift
+        else:
+            raise DataError(f"unknown normalization mode {mode!r}")
+    if not (np.isfinite(shift).all() and np.isfinite(width).all()):
+        raise DataError(f"{mode} normalization overflows float64 "
+                        f"(largest |value| {np.abs(view).max():.3g})")
+    return (view - shift) / np.where(width > 0.0, width, 1.0)
 
 
 def build_partition(dataset, view_index, anchor_index, k_neighbors):
@@ -227,17 +232,22 @@ def load_manifest(path):
     """Load and normalize the dataset a manifest describes."""
     spec = read_manifest(path)
     ds = load_views(spec["views"], spec["labels"])
-    ds = MultiViewDataset(
-        [normalize_view(v, spec["normalize"]) for v in ds.views], ds.labels
-    )
-    return ds
+    views = []
+    for view_path, view in zip(spec["views"], ds.views):
+        try:
+            views.append(normalize_view(view, spec["normalize"]))
+        except DataError as exc:
+            raise DataError(f"{view_path}: {exc}") from None
+    return MultiViewDataset(views, ds.labels)
 
 
 # --- synthetic benchmark -----------------------------------------------------
 
+SYNTH_LATENT_DIM = 4   # width of the blob space every view is projected from
+
+
 def make_synthetic(out_dir, clusters, samples, views=2, noise=0.1, seed=0,
-                   base_dim=4, view_dims=None, outlier_fraction=0.0,
-                   outlier_scale=1.0):
+                   view_dims=None, outlier_fraction=0.0, outlier_scale=1.0):
     """Write a Gaussian-blob benchmark: per-view random linear maps plus noise.
 
     ``outlier_fraction`` of the samples can be contaminated: moved halfway
@@ -260,21 +270,21 @@ def make_synthetic(out_dir, clusters, samples, views=2, noise=0.1, seed=0,
         raise DataError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if view_dims is None:
-        view_dims = [base_dim * 3 + 2 * i for i in range(views)]
-    centers = rng.normal(0.0, 2.0, size=(clusters, base_dim))
+        view_dims = [SYNTH_LATENT_DIM * 3 + 2 * i for i in range(views)]
+    centers = rng.normal(0.0, 2.0, size=(clusters, SYNTH_LATENT_DIM))
     labels = rng.integers(0, clusters, size=samples)
-    latent = centers[labels] + rng.normal(0.0, 0.25, size=(samples, base_dim))
+    latent = centers[labels] + rng.normal(0.0, 0.25, size=(samples, SYNTH_LATENT_DIM))
     noise_scale = np.full(samples, noise)
     n_bad = int(outlier_fraction * samples)
     if n_bad > 0:
         bad = rng.choice(samples, size=n_bad, replace=False)
         other = (labels[bad] + rng.integers(1, clusters, size=n_bad)) % clusters
         latent[bad] = 0.5 * (centers[labels[bad]] + centers[other]) \
-            + rng.normal(0.0, 0.25, size=(n_bad, base_dim))
+            + rng.normal(0.0, 0.25, size=(n_bad, SYNTH_LATENT_DIM))
         noise_scale[bad] = noise * outlier_scale
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         # per view, the projection is drawn first and then the noise
-        tables = [latent @ rng.normal(0.0, 1.0, size=(base_dim, d))
+        tables = [latent @ rng.normal(0.0, 1.0, size=(SYNTH_LATENT_DIM, d))
                   + noise_scale[:, None] * rng.normal(0.0, 1.0, size=(samples, d))
                   for d in view_dims]
     if not all(np.isfinite(data).all() for data in tables):

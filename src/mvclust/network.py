@@ -306,18 +306,18 @@ def write_training_log(rows, path):
 
 # --- checkpointing -----------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(model, path):
-    """Exact (lossless float64) dump of all network parameters."""
+    """Exact (lossless float64) dump of all network parameters: per view and
+    net, ``params.flat`` and the layer widths it is laid out by."""
     arrays = {"version": np.array([CHECKPOINT_VERSION]),
               "latent_width": np.array([model.latent_width]),
               "n_views": np.array([model.n_views])}
     for i, vn in enumerate(model.views):
         for name, net in (("enc", vn.encoder), ("gen", vn.generator),
                           ("disc", vn.discriminator)):
-            for l, (w, b) in enumerate(zip(net.params.weights, net.params.biases)):
-                arrays[f"v{i}_{name}_w{l}"] = w
-                arrays[f"v{i}_{name}_b{l}"] = b
+            arrays[f"v{i}_{name}"] = net.params.flat
+            arrays[f"v{i}_{name}_widths"] = np.array(net.spec.widths)
     np.savez(path, **arrays)

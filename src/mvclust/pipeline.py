@@ -110,10 +110,6 @@ class ExperimentConfig:
     network: dict
     clustering: dict
 
-    @property
-    def hidden_widths(self):
-        return self.network["hidden"]
-
 
 def _parse(name, text, default, rule):
     """Convert ``text`` (None: the default) to the default's type and check it."""
@@ -335,7 +331,7 @@ def _train(cfg, dataset, weights):
         [v.shape[1] for v in dataset.views],
         nw["latent_width"],
         np.random.default_rng(cfg.seed + 3),
-        hidden=cfg.hidden_widths,
+        hidden=nw["hidden"],
     )
     result = net.train(
         model, dataset, weights, schedule,

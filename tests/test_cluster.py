@@ -133,7 +133,7 @@ def test_accuracy_relabeling_invariance(rng):
     assert abs(purity(truth, pred) - purity(truth, perm[pred])) < 1e-12
 
 
-def test_perfect_and_degenerate_metrics():
+def test_perfect_and_degenerate_metrics(monkeypatch):
     truth = np.array([0, 0, 1, 1, 2, 2])
     assert accuracy(truth, truth) == 1.0
     assert nmi(truth, truth) == 1.0
@@ -143,6 +143,23 @@ def test_perfect_and_degenerate_metrics():
     assert nmi(truth, const) == 0.0       # zero-entropy prediction, differing
     assert abs(purity(const, truth) - 1.0 / 3.0) < 1e-12
     assert purity(truth, const) == 1.0    # every cluster is pure trivially
+    # evaluate gives the same three numbers from one contingency table, the
+    # degenerate NMI branch included
+    contingency = cluster._contingency
+    calls = []
+
+    def counted(pred, true):
+        calls.append(pred)
+        return contingency(pred, true)
+
+    monkeypatch.setattr(cluster, "_contingency", counted)
+    for pred, true in ((truth, truth), (const, const), (truth, const),
+                       (const, truth)):
+        expected = (accuracy(pred, true), nmi(pred, true), purity(pred, true))
+        calls.clear()
+        report = evaluate(pred, true)
+        assert len(calls) == 1
+        assert (report.acc, report.nmi, report.purity) == expected
 
 
 def straightline_nmi(truth, pred):

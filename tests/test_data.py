@@ -88,6 +88,16 @@ def test_minmax_constant_column_is_zero():
     np.testing.assert_array_equal(out, 0.0)
 
 
+def test_normalization_overflow_is_a_data_error():
+    # a column whose deviations, mean or range overflow float64; an overflowed
+    # width must not pass for a constant column's zero width
+    for x, mode in ((np.array([[1e300], [-1e300], [1e300]]) * 1e8, "zscore"),
+                    (np.full((3, 1), 1.7e308), "zscore"),
+                    (np.array([[1.7e308], [-1.7e308]]), "minmax")):
+        with pytest.raises(DataError, match=f"{mode} normalization overflows"):
+            normalize_view(x, mode)
+
+
 def test_normalization_matches_straightline(rng):
     x = rng.normal(size=(20, 6)) * 3.0 + 1.0
     ref = np.empty_like(x)

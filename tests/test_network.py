@@ -4,10 +4,10 @@ import pytest
 from mvclust.data import MultiViewDataset, make_synthetic, load_manifest
 from mvclust.errors import ShapeError
 from mvclust.nets import MlpParams, MlpSpec, Net, adam_step
-from mvclust.network import (GOLDEN_SECTION, ViewNets, _ViewOptimizers,
-                             _gan_round, adversarial_losses, ae_loss_closed,
-                             ae_loss_open, build_model, fuse_subspace, gate,
-                             train)
+from mvclust.network import (CHECKPOINT_VERSION, GOLDEN_SECTION, ViewNets,
+                             _ViewOptimizers, _gan_round, adversarial_losses,
+                             ae_loss_closed, ae_loss_open, build_model,
+                             fuse_subspace, gate, save_checkpoint, train)
 from mvclust.sampling import PaceSchedule, pace_value, selection_mask
 
 from conftest import assert_grads_close, numerical_grads, rel_err
@@ -325,3 +325,24 @@ def test_open_batch_encodes_each_view_three_times_less_one():
     # one fusion of the selected set and one export-time encode per view,
     # and 3V - 1 encoder passes per open batch
     assert len(calls) == 2 * n_views + batches * (3 * n_views - 1)
+
+
+def test_checkpoint_holds_every_parameter_exactly(tmp_path, rng):
+    model = build_model([5, 7, 4], 3, rng, hidden=(6, 4), disc_hidden=(5, 3))
+    path = tmp_path / "checkpoint.npz"
+    save_checkpoint(model, str(path))
+    with np.load(path) as ckpt:
+        assert CHECKPOINT_VERSION == 2
+        assert ckpt["version"].tolist() == [2]
+        assert ckpt["latent_width"].tolist() == [3]
+        assert ckpt["n_views"].tolist() == [3]
+        expected = {"version", "latent_width", "n_views"}
+        for i, vn in enumerate(model.views):
+            for name, net in (("enc", vn.encoder), ("gen", vn.generator),
+                              ("disc", vn.discriminator)):
+                key = f"v{i}_{name}"
+                expected |= {key, f"{key}_widths"}
+                assert ckpt[key].dtype == net.params.flat.dtype
+                assert ckpt[key].tobytes() == net.params.flat.tobytes()
+                assert tuple(ckpt[f"{key}_widths"].tolist()) == net.spec.widths
+        assert set(ckpt.files) == expected

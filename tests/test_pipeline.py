@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -41,7 +42,7 @@ def test_load_config_defaults(tmp_path):
     cfg = load_config(small_config(tmp_path))
     assert cfg.variant == "FULL"
     assert cfg.seed == 0
-    assert cfg.hidden_widths == (16, 8)
+    assert cfg.network["hidden"] == (16, 8)
     assert cfg.network["epochs"] == 20
     assert cfg.reconcile["t_steps"] == 3  # untouched default
 
@@ -321,14 +322,40 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert err.startswith(f"data error: cannot read {manifest}: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+    # argparse's own errors, each in one line with no usage text: a flag value
+    # that does not parse, and a negative number in exponent form given as its
+    # own word. An argparse that reads that word as an option refuses it (exit
+    # 2); one that reads it as a number passes it to synth's range check (3).
+    probe = argparse.ArgumentParser()
+    probe.add_argument("value", nargs="?")
+    exponent_is_option = probe.parse_known_args(["-1e-3"])[0].value is None
+    for argv, code, expected in (
+        (["synth", "--out", str(tmp_path / "blobs"), "--clusters", "abc"],
+         2, "argument --clusters: invalid int value"),
+        (["synth", "--out", str(tmp_path / "blobs"), "--outlier-scale", "-1e-3"],
+         *((2, "argument --outlier-scale: expected one argument")
+           if exponent_is_option else (3, "outlier_scale"))),
+    ):
+        capsys.readouterr()
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert err.startswith({2: "config error: ", 3: "data error: "}[code])
+        assert expected in err, argv
+        assert err.count("\n") == 1
     # data error: export from a directory with no artifacts
     assert main(["export", "--run-dir", str(tmp_path)]) == 3
     # data errors, each in one line: unreadable, malformed or unequal label
     # files for eval (rows numbered from 1, blank lines counted), bad synth
-    # flags (noise that overflows the views among them), ablate into an
-    # existing file, an artifacts.npz that is no npz archive, lacks z or holds
-    # a 1-D z, an export into a missing directory, and run or ablate output
-    # files that cannot be written
+    # flags (noise that overflows the views among them), a view that
+    # overflows when normalized, ablate into an existing file, an
+    # artifacts.npz that is no npz archive, lacks z or holds a 1-D z, an
+    # export into a missing directory, and run or ablate output files that
+    # cannot be written
+    huge = tmp_path / "huge"
+    make_synthetic(str(huge), clusters=2, samples=20, noise=1e300)
+    huge_cfg = tmp_path / "huge.cfg"
+    huge_cfg.write_text(f"[experiment]\nmanifest = {huge / 'manifest.txt'}\n"
+                        f"out = {tmp_path / 'out'}\n")
     good, short, broken = (tmp_path / name
                            for name in ("good", "short", "broken"))
     not_npz, no_z, flat_z, run_dir = (
@@ -376,6 +403,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["synth", "--out", str(tmp_path / "blobs"), "--seed", "-1"], "seed"),
         (["synth", "--out", str(tmp_path / "blobs"), "--clusters", "2",
           "--samples", "20", "--noise", "1e308"], "noise"),
+        (["run", "--config", str(huge_cfg)],
+         f"{huge / 'view0.csv'}: zscore normalization overflows"),
         (["ablate", "--config", cfg, "--variants", "NONE", "--out", str(afile)],
          "experiment.out"),
         (["export", "--run-dir", str(not_npz)], "artifacts.npz"),
@@ -391,6 +420,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert err.startswith("data error: ") and expected in err, argv
         assert err.count("\n") == 1
     assert not (tmp_path / "blobs").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_ablate_subset(tmp_path, capsys):
