@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DataError, ShapeError
+from .errors import DataError, NumericalError, ShapeError
 
 
 @dataclass
@@ -36,43 +36,72 @@ def _kmeans_pp_init(z, c, rng):
     return centers
 
 
-def _lloyd(z, centers, max_iter):
+def _nearest(z, zz, centers):
+    """Index of each row's nearest center (ties to the lower index), from
+    ``|z|^2 - 2 z c^T + |c|^2`` with ``zz`` the rows' squared norms."""
+    d2 = z @ centers.T
+    d2 *= -2.0
+    d2 += zz
+    d2 += np.einsum("ij,ij->i", centers, centers)
+    return d2.argmin(axis=1)
+
+
+def _member_sums(columns, assign, c):
+    """Row count and coordinate sums per cluster from ``columns = z.T``,
+    members added in index order, so ``sums[q] / counts[q]`` is
+    ``z[assign == q].mean(axis=0)`` bit for bit when z has two or more
+    columns."""
+    counts = np.bincount(assign, minlength=c)
+    sums = np.stack([np.bincount(assign, weights=col, minlength=c)
+                     for col in columns], axis=1)
+    return counts, sums
+
+
+def _lloyd(z, zz, centers, max_iter):
     c = centers.shape[0]
+    columns = np.ascontiguousarray(z.T)  # bincount reads contiguous weights
     assign = None
     for _ in range(max_iter):
-        d2 = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
+        new_assign = _nearest(z, zz, centers)
         if assign is not None and np.array_equal(new_assign, assign):
             return centers, new_assign  # converged: the centers did not move
         assign = new_assign
+        counts, sums = _member_sums(columns, assign, c)
         for q in range(c):
-            members = z[assign == q]
-            if len(members):
-                centers[q] = members.mean(axis=0)
+            if counts[q]:
+                centers[q] = sums[q] / counts[q]
             else:
                 # re-seed an empty cluster to the point farthest from its center
                 far = ((z - centers[assign]) ** 2).sum(axis=1).argmax()
                 centers[q] = z[far]
                 assign[far] = q
+                # the cluster that gave up the point has one member fewer
+                counts, sums = _member_sums(columns, assign, c)
     # max_iter ran out: assign to the centers the last update left
-    d2 = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return centers, d2.argmin(axis=1)
+    return centers, _nearest(z, zz, centers)
 
 
 def kmeans(z, c, max_iter=100, seed=0, restarts=20):
     """Lloyd's algorithm from k-means++ seeding; keeps the best of ``restarts``
-    runs (ties by restart index)."""
+    runs (ties by restart index). A z that is not finite, or whose squared
+    distances could overflow float64, is a NumericalError."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     n = z.shape[0]
     if c < 1:
         raise DataError(f"cluster count must be >= 1, got {c}")
     if c > n:
         raise DataError(f"cannot form {c} clusters from {n} samples")
+    zz = np.einsum("ij,ij->i", z, z)[:, None]
+    # a squared distance to a center in the rows' hull is <= 4 max |z|^2, and
+    # the seeding and the objective add up n of them
+    if not zz.max() <= np.finfo(float).max / (4 * n):
+        raise NumericalError("k-means input is not finite or its squared "
+                             "distances overflow float64")
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
         centers = _kmeans_pp_init(z, c, rng)
-        centers, assign = _lloyd(z, centers.copy(), max_iter)
+        centers, assign = _lloyd(z, zz, centers.copy(), max_iter)
         obj = _objective(z, centers, assign)
         if best is None or obj < best.objective:
             best = ClusterModel(centers, assign, obj)

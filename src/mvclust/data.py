@@ -172,7 +172,8 @@ def normalize_view(view, mode="zscore"):
 def build_partition(dataset, view_index, anchor_index, k_neighbors):
     """K-NN split of one view around the anchor: P = k nearest, N = the rest.
 
-    Ties at the k-th distance break by ascending sample index.
+    Ties at the k-th distance break by ascending sample index. A view whose
+    distances to the anchor overflow float64 is a DataError.
     """
     n = dataset.n
     if not 0 <= anchor_index < n:
@@ -180,8 +181,12 @@ def build_partition(dataset, view_index, anchor_index, k_neighbors):
     if not 1 <= k_neighbors <= n - 1:
         raise DataError(f"k_neighbors must be in [1, {n - 1}], got {k_neighbors}")
     view = dataset.views[view_index]
-    diff = view - view[anchor_index]
-    dist = np.sqrt((diff * diff).sum(axis=1))
+    with np.errstate(over="ignore"):
+        diff = view - view[anchor_index]
+        dist = np.sqrt((diff * diff).sum(axis=1))
+    if not np.all(np.isfinite(dist)):
+        raise DataError(f"view {view_index}: squared distances to the anchor "
+                        "overflow float64")
     others = np.delete(np.arange(n), anchor_index)
     # stable sort on distance => index breaks ties
     order = others[np.argsort(dist[others], kind="stable")]

@@ -392,7 +392,7 @@ def run(cfg, shared=None):
     cluster, write. ``shared`` is ``ablate``'s holder of the stages its
     variants share; without it, every stage runs here.
     """
-    started = time.time()
+    started = time.perf_counter()
     if shared is None:
         shared = _Shared(cfg)
     prep = shared.prepared
@@ -412,7 +412,7 @@ def run(cfg, shared=None):
         km = _cluster(cfg, z, prep.clusters)
         metrics = _write(cfg, model, z, km, prep.dataset.labels)
 
-        wall = time.time() - started
+        wall = time.perf_counter() - started
         _write_run_info(cfg, wall, result, rec.n_pairs, best_view, rec.sim_rate)
     return RunReport(
         variant=cfg.variant,

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from mvclust import cluster
 from mvclust.cluster import (MetricReport, accuracy, evaluate, format_report,
                              kmeans, nmi, purity, write_report)
-from mvclust.errors import DataError, ShapeError
+from mvclust.errors import DataError, NumericalError, ShapeError
 
 from conftest import rel_err
 
@@ -68,8 +71,9 @@ def test_kmeans_deterministic(rng):
     np.testing.assert_array_equal(a.centers, b.centers)
 
 
-def lloyd_with_final_pass(z, centers, max_iter):
-    """Lloyd's loop that always reassigns once more after it stops."""
+def lloyd_with_final_pass(z, zz, centers, max_iter):
+    """Lloyd's loop that always reassigns once more after it stops, with
+    broadcast distances and per-cluster means (``zz`` is not read)."""
     c = centers.shape[0]
     assign = None
     for _ in range(max_iter):
@@ -90,21 +94,117 @@ def lloyd_with_final_pass(z, centers, max_iter):
     return centers, d2.argmin(axis=1)
 
 
+def blobs(rng, n, p, c):
+    """n rows around c well-separated centers, shaped like a learned subspace."""
+    centers = rng.normal(0.0, 3.0, size=(c, p))
+    return centers[rng.integers(0, c, size=n)] + rng.normal(size=(n, p))
+
+
+def assert_kmeans_equals_reference(monkeypatch, x, c, **kwargs):
+    got = kmeans(x, c, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(cluster, "_lloyd", lloyd_with_final_pass)
+        ref = kmeans(x, c, **kwargs)
+    assert got.centers.tobytes() == ref.centers.tobytes()
+    assert got.assignments.tobytes() == ref.assignments.tobytes()
+    assert got.assignments.dtype == ref.assignments.dtype
+    assert got.objective == ref.objective
+
+
 def test_kmeans_bytewise_equal_to_lloyd_with_final_pass(rng, monkeypatch):
-    # duplicated rows leave k-means++ seeds coinciding, so clusters go empty
+    # duplicated rows leave k-means++ seeds coinciding, so clusters go empty;
+    # in the second set a re-seed takes a row from a later cluster, whose
+    # mean then changes in the last bits (three copies of -0.8 do not
+    # average to -0.8)
     repeated = np.repeat(rng.normal(size=(4, 2)), 5, axis=0)
+    tenths = np.repeat([[-0.8, -0.7], [-2.1, -0.8], [1.6, -0.1], [-0.9, -0.6]],
+                       3, axis=0)
     cases = [(rng.normal(size=(n, d)), c) for n, d, c in
-             ((40, 2, 3), (90, 5, 4), (200, 3, 6))] + [(repeated, 6)]
+             ((40, 2, 3), (90, 5, 4), (200, 3, 6))] + [(repeated, 6),
+                                                       (tenths, 6)]
     for (x, c), seed, max_iter in itertools.product(cases, range(4),
                                                     (1, 2, 100)):
-        got = kmeans(x, c, max_iter=max_iter, seed=seed, restarts=3)
-        with monkeypatch.context() as m:
-            m.setattr(cluster, "_lloyd", lloyd_with_final_pass)
-            ref = kmeans(x, c, max_iter=max_iter, seed=seed, restarts=3)
-        assert got.centers.tobytes() == ref.centers.tobytes()
-        assert got.assignments.tobytes() == ref.assignments.tobytes()
-        assert got.assignments.dtype == ref.assignments.dtype
-        assert got.objective == ref.objective
+        assert_kmeans_equals_reference(monkeypatch, x, c, max_iter=max_iter,
+                                       seed=seed, restarts=3)
+    # the shapes the benchmark clusters: full3000's 3000x10 subspace with 5
+    # clusters, ablate300's best view (300x14, 3 clusters), and more clusters
+    # than the data has blobs
+    for (n, p, c, blob_count), seed in itertools.product(
+            ((3000, 10, 5, 5), (300, 14, 3, 3), (100, 10, 10, 4)), range(2)):
+        x = blobs(rng, n, p, blob_count)
+        assert_kmeans_equals_reference(monkeypatch, x, c, seed=seed,
+                                       restarts=3)
+
+
+def test_exact_ties_go_to_the_lower_center_index(monkeypatch):
+    # integer points on x = 1 are exactly equidistant from (0, 0) and (2, 0),
+    # in the expanded form as in the broadcast one
+    z = np.array([[1.0, 0.0], [1.0, 5.0], [1.0, -3.0], [0.0, 1.0], [2.0, 2.0]])
+    zz = np.einsum("ij,ij->i", z, z)[:, None]
+    left_first = np.array([[0.0, 0.0], [2.0, 0.0]])
+    np.testing.assert_array_equal(cluster._nearest(z, zz, left_first),
+                                  [0, 0, 0, 0, 1])
+    np.testing.assert_array_equal(cluster._nearest(z, zz, left_first[::-1]),
+                                  [0, 0, 0, 1, 0])
+    # on a grid symmetric about x = 1 and y = 0, Lloyd's steps meet rows at
+    # exact ties between centers
+    grid = np.array([[x, y] for x in range(3) for y in range(-2, 3)],
+                    dtype=float)
+    for seed, c in itertools.product(range(8), (2, 3, 4)):
+        assert_kmeans_equals_reference(monkeypatch, grid, c, seed=seed,
+                                       restarts=2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 8, 10, 14, 33])
+def test_member_sums_over_counts_are_the_member_means(rng, p):
+    # numpy's mean over axis 0 adds whole rows in index order for p >= 2, as
+    # bincount does; a single column is summed pairwise instead
+    c = 4
+    z = rng.normal(size=(1000, p)) * 10.0 ** rng.integers(-6, 7, size=p)
+    assign = rng.integers(0, c, size=1000)
+    counts, sums = cluster._member_sums(z.T, assign, c)
+    for q in range(c):
+        mean = z[assign == q].mean(axis=0)
+        assert (sums[q] / counts[q]).tobytes() == mean.tobytes()
+
+
+def test_kmeans_rejects_overflowing_or_non_finite_input(rng):
+    z = rng.normal(size=(20, 3))
+    # 1.2e154 squares to a finite 1.44e308, but twice it overflows
+    for bad in (1.2e154, 1e200, np.inf, np.nan):
+        x = z.copy()
+        x[7, 1] = bad
+        with pytest.raises(NumericalError):
+            kmeans(x, 2)
+    # every squared distance is finite, but not their sum over the rows
+    with pytest.raises(NumericalError):
+        kmeans(rng.normal(size=(200, 3)) * 1.5e153, 2)
+    kmeans(z * 1e150, 2)  # |z|^2 ~ 1e301: every sum stays finite
+
+
+def test_kmeans_identical_across_blas_threads(tmp_path):
+    # n = 3000 is large enough for OpenBLAS to split the distance GEMM across
+    # threads; fresh processes, so the thread count is read at start-up
+    script = ("import hashlib, numpy as np\n"
+              "from mvclust.cluster import kmeans\n"
+              "rng = np.random.default_rng(3)\n"
+              "centers = rng.normal(0.0, 3.0, size=(5, 10))\n"
+              "z = centers[rng.integers(0, 5, 3000)] + rng.normal(size=(3000, 10))\n"
+              "m = kmeans(z, 5, seed=1, restarts=4)\n"
+              "print(hashlib.sha256(m.centers.tobytes()"
+              " + m.assignments.tobytes()).hexdigest(), repr(m.objective))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cluster.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_contingency_counts_arbitrary_label_ids():

@@ -347,15 +347,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     # data errors, each in one line: unreadable, malformed or unequal label
     # files for eval (rows numbered from 1, blank lines counted), bad synth
     # flags (noise that overflows the views among them), a view that
-    # overflows when normalized, ablate into an existing file, an
-    # artifacts.npz that is no npz archive, lacks z or holds a 1-D z, an
-    # export into a missing directory, and run or ablate output files that
-    # cannot be written
+    # overflows when normalized or, left unnormalized, in its distances to
+    # the anchor, ablate into an existing file, an artifacts.npz that is no
+    # npz archive, lacks z or holds a 1-D z, an export into a missing
+    # directory, and run or ablate output files that cannot be written
     huge = tmp_path / "huge"
     make_synthetic(str(huge), clusters=2, samples=20, noise=1e300)
     huge_cfg = tmp_path / "huge.cfg"
     huge_cfg.write_text(f"[experiment]\nmanifest = {huge / 'manifest.txt'}\n"
                         f"out = {tmp_path / 'out'}\n")
+    # the same views unnormalized: their distances to the anchor overflow
+    (huge / "raw.txt").write_text((huge / "manifest.txt").read_text()
+                                  + "normalize = none\n")
+    raw_cfg = tmp_path / "raw.cfg"
+    raw_cfg.write_text(f"[experiment]\nmanifest = {huge / 'raw.txt'}\n"
+                       f"out = {tmp_path / 'out'}\n")
     good, short, broken = (tmp_path / name
                            for name in ("good", "short", "broken"))
     not_npz, no_z, flat_z, run_dir = (
@@ -405,6 +411,8 @@ def test_cli_exit_codes(tmp_path, capsys):
           "--samples", "20", "--noise", "1e308"], "noise"),
         (["run", "--config", str(huge_cfg)],
          f"{huge / 'view0.csv'}: zscore normalization overflows"),
+        (["run", "--config", str(raw_cfg)],
+         "view 0: squared distances to the anchor overflow float64"),
         (["ablate", "--config", cfg, "--variants", "NONE", "--out", str(afile)],
          "experiment.out"),
         (["export", "--run-dir", str(not_npz)], "artifacts.npz"),
