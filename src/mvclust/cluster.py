@@ -3,9 +3,9 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, NumericalError, ShapeError
+from .files import replacing
 
 
 @dataclass
@@ -122,22 +122,68 @@ def _contingency(pred, truth):
     return np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)
 
 
+def _max_matching(table):
+    """Largest sum of entries with at most one per row and per column.
+
+    The Hungarian method with row and column potentials (Kuhn 1955), one
+    numpy pass over the columns per augmenting step, minimising ``-table``
+    (transposed if it has more rows than columns, so every row is matched).
+    Column 0 of the potentials is a virtual start column. On integer counts
+    every potential stays an integer, so the sum is exact, and every optimal
+    matching has it.
+    """
+    if table.shape[0] > table.shape[1]:
+        table = table.T
+    rows, cols = table.shape
+    cost = np.zeros((rows + 1, cols + 1))
+    cost[1:, 1:] = -table
+    u = np.zeros(rows + 1)
+    v = np.zeros(cols + 1)
+    match = np.zeros(cols + 1, dtype=int)  # row on each column, 0 for none
+    way = np.zeros(cols + 1, dtype=int)    # previous column on the path
+    for i in range(1, rows + 1):
+        match[0] = i
+        j0 = 0
+        slack = np.full(cols + 1, np.inf)
+        used = np.zeros(cols + 1, dtype=bool)
+        while match[j0]:
+            # grow the alternating tree from row i by its tightest column
+            used[j0] = True
+            i0 = match[j0]
+            reduced = cost[i0] - u[i0] - v
+            tighter = ~used & (reduced < slack)
+            slack[tighter] = reduced[tighter]
+            way[tighter] = j0
+            j1 = int(np.where(used, np.inf, slack).argmin())
+            delta = slack[j1]
+            u[match[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            j0 = j1
+        while j0:  # augment along the path back to the virtual column
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    on = match[1:] > 0
+    return table[match[1:][on] - 1, np.flatnonzero(on)].sum()
+
+
 def _acc(table):
-    rows, cols = linear_sum_assignment(-table)
-    return float(table[rows, cols].sum() / table.sum())
+    return float(_max_matching(table) / table.sum())
 
 
 def _nmi(table):
+    if 1 in table.shape:
+        # degenerate partitions: the table's rows and columns are the labels
+        # that occur, so one row or one column is a zero-entropy partition
+        # (whose entropy in floats may round to either side of 0), and the
+        # two are identical iff the table is a single cell
+        return 1.0 if table.shape == (1, 1) else 0.0
     p_ij = table / table.sum()
     p_i = p_ij.sum(axis=1)
     p_j = p_ij.sum(axis=0)
     h_i = -np.sum(p_i[p_i > 0] * np.log(p_i[p_i > 0]))
     h_j = -np.sum(p_j[p_j > 0] * np.log(p_j[p_j > 0]))
-    if h_i == 0.0 or h_j == 0.0:
-        # degenerate partitions: identical iff the table is a single cell-per-
-        # line match up to relabeling
-        same = table.shape[0] == table.shape[1] and _acc(table) == 1.0
-        return 1.0 if same else 0.0
     mask = p_ij > 0
     mi = np.sum(p_ij[mask] * np.log(
         p_ij[mask] / (np.outer(p_i, p_j)[mask])
@@ -193,7 +239,7 @@ def format_report(report):
 
 def write_report(report, path):
     """Machine-readable key-value file (deterministic for identical inputs)."""
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(f"acc = {report.acc:.12f}\n")
         fh.write(f"nmi = {report.nmi:.12f}\n")
         fh.write(f"purity = {report.purity:.12f}\n")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError, ShapeError
+from .files import replacing
 from .nets import (AdamState, MlpSpec, Net, adam_step, clamp_prob,
                    clamp_prob_masked, init_mlp, make_net)
 
@@ -368,7 +369,7 @@ def export_difficulty(partitions, raw, resolved, path):
     The region is the sample's side of the view's partition: A (the anchor),
     P (positive set) or N (negative set).
     """
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write("sample_index,view,region,raw_label,resolved_label\n")
         for v, part in enumerate(partitions):
             region = np.full(part.n, "A")

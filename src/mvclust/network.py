@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError
+from .files import replacing
 from .nets import AdamState, Net, adam_step, clamp_prob_masked, make_net
 from .sampling import pace_value, selection_mask
 
@@ -293,7 +294,7 @@ def write_training_log(rows, path):
     cols += [f"ae_loss_v{i}" for i in range(n_views)]
     cols += [f"disc_value_v{i}" for i in range(n_views)]
     cols += [f"gen_value_v{i}" for i in range(n_views)]
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(",".join(cols) + "\n")
         for r in rows:
             cells = [str(r["epoch"]), f"{r['lambda']:.12g}",
@@ -320,4 +321,5 @@ def save_checkpoint(model, path):
                           ("disc", vn.discriminator)):
             arrays[f"v{i}_{name}"] = net.params.flat
             arrays[f"v{i}_{name}_widths"] = np.array(net.spec.widths)
-    np.savez(path, **arrays)
+    with replacing(path, "wb") as fh:
+        np.savez(fh, **arrays)

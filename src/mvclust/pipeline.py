@@ -33,6 +33,7 @@ from . import difficulty as dif
 from . import network as net
 from . import sampling as smp
 from .errors import ConfigError, DataError
+from .files import replacing
 
 log = logging.getLogger(__name__)
 
@@ -356,8 +357,9 @@ def _cluster(cfg, z, clusters):
 
 def _write(cfg, model, z, km, labels):
     """Stage 6: artifacts, checkpoint and (with labels) the metrics."""
-    np.savez(os.path.join(cfg.out, "artifacts.npz"),
-             z=z, predicted=km.assignments, objective=np.array([km.objective]))
+    with replacing(os.path.join(cfg.out, "artifacts.npz"), "wb") as fh:
+        np.savez(fh, z=z, predicted=km.assignments,
+                 objective=np.array([km.objective]))
     net.save_checkpoint(model, os.path.join(cfg.out, "checkpoint.npz"))
     if labels is None:
         return None
@@ -430,7 +432,7 @@ def run(cfg, shared=None):
 
 def _write_run_info(cfg, wall, result, n_pairs, best_view, sim_rate):
     # timing and other non-reproducible context live here, not in metrics.txt
-    with open(os.path.join(cfg.out, "run_info.txt"), "w") as fh:
+    with replacing(os.path.join(cfg.out, "run_info.txt")) as fh:
         fh.write(f"variant = {cfg.variant}\n")
         fh.write(f"seed = {cfg.seed}\n")
         fh.write(f"manifest = {cfg.manifest}\n")
@@ -460,7 +462,7 @@ def export_embeddings(run_dir, dest=None):
     if z.ndim != 2 or pred.shape != (len(z),):
         raise malformed
     dest = dest or os.path.join(run_dir, "embeddings.csv")
-    with _writing(dest), open(dest, "w") as fh:
+    with _writing(dest), replacing(dest) as fh:
         fh.write(",".join(f"z{i}" for i in range(z.shape[1])) + ",cluster\n")
         for row, c in zip(z, pred):
             fh.write(",".join(f"{v:.12g}" for v in row) + f",{c}\n")
@@ -487,7 +489,7 @@ def ablate(cfg, variants=VARIANTS):
         reports[variant] = run(replace(cfg, variant=variant, out=out), shared)
     summary = os.path.join(base_out, "ablation_summary.txt")
     _make_out_dir(base_out)
-    with _writing(summary), open(summary, "w") as fh:
+    with _writing(summary), replacing(summary) as fh:
         fh.write(format_ablation(reports))
     return reports
 

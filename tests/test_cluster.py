@@ -5,6 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from mvclust import cluster
 from mvclust.cluster import (MetricReport, accuracy, evaluate, format_report,
@@ -224,6 +227,93 @@ def test_accuracy_hand_contingency():
     assert abs(purity(truth, pred) - 0.75) < 1e-12
 
 
+def labels_of(table):
+    """Prediction and truth label vectors whose contingency table is
+    ``table`` with its all-zero rows and columns dropped."""
+    r, c = table.shape
+    counts = table.ravel()
+    return (np.repeat(np.repeat(np.arange(r), c), counts),
+            np.repeat(np.tile(np.arange(c), r), counts))
+
+
+def assert_acc_is_the_optimum(table):
+    # scipy is the reference here only: ACC is the best one-to-one matching's
+    # count over the total, and every optimal matching has the same count
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    expected = float(table[rows, cols].sum() / table.sum())
+    pred, truth = labels_of(table)
+    assert accuracy(pred, truth) == expected
+    assert accuracy(truth, pred) == expected  # the transposed table
+    assert evaluate(pred, truth).acc == expected
+    assert evaluate(truth, pred).acc == expected
+
+
+@st.composite
+def count_tables(draw, max_side=12):
+    """Integer tables of 1 to ``max_side`` rows and columns, some with zero
+    rows or columns; a small top count makes ties common."""
+    r = draw(st.integers(1, max_side))
+    c = draw(st.integers(1, max_side))
+    top = draw(st.sampled_from([1, 2, 3, 40, 1000]))
+    cells = draw(st.lists(st.integers(0, top), min_size=r * c,
+                          max_size=r * c))
+    table = np.array(cells, dtype=int).reshape(r, c)
+    table[draw(st.integers(0, r - 1)), draw(st.integers(0, c - 1))] += 1
+    return table
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(table=count_tables())
+def test_accuracy_is_the_optimal_matching_over_the_total(table):
+    assert_acc_is_the_optimum(table)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(r=st.integers(1, 12), c=st.integers(1, 12), value=st.integers(1, 9))
+def test_accuracy_of_an_all_equal_table(r, c, value):
+    table = np.full((r, c), value)
+    assert_acc_is_the_optimum(table)
+    assert accuracy(*labels_of(table)) == float(min(r, c) / (r * c))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_accuracy_of_one_row_or_one_column(rng, k):
+    for row in (rng.integers(1, 20, size=(1, k)), np.ones((1, k), dtype=int)):
+        assert_acc_is_the_optimum(row)
+        assert accuracy(*labels_of(row)) == float(row.max() / row.sum())
+
+
+def test_accuracy_of_a_100_by_100_table():
+    rng = np.random.default_rng(100)
+    table = rng.integers(0, 30, size=(100, 100))
+    table[np.arange(100), rng.permutation(100)] += rng.integers(0, 60, size=100)
+    assert_acc_is_the_optimum(table)
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # a fresh process: importing the package and evaluating labels must not
+    # load scipy, which the tests use only as the ACC reference
+    pred, truth = tmp_path / "pred.txt", tmp_path / "truth.txt"
+    pred.write_text("0\n0\n1\n2\n2\n")
+    truth.write_text("1\n1\n0\n2\n0\n")
+    script = ("import sys\n"
+              "import mvclust\n"
+              "import mvclust.cli\n"
+              f"code = mvclust.cli.main(['eval', '--pred', {str(pred)!r}, "
+              f"'--truth', {str(truth)!r}])\n"
+              "print(code, sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cluster.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "ACC      0.8000" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_accuracy_relabeling_invariance(rng):
     truth = rng.integers(0, 4, size=100)
     pred = rng.integers(0, 4, size=100)
@@ -260,6 +350,16 @@ def test_perfect_and_degenerate_metrics(monkeypatch):
         report = evaluate(pred, true)
         assert len(calls) == 1
         assert (report.acc, report.nmi, report.purity) == expected
+
+
+def test_nmi_of_one_label_against_many_is_zero():
+    # these counts sum a lone partition's probabilities to 1 + 2^-52, whose
+    # float entropy is below 0; NMI was the square root of a negative number
+    truth = np.repeat(np.arange(6), [2, 2, 1, 2, 2, 2])
+    const = np.zeros(len(truth), dtype=int)
+    assert nmi(const, truth) == 0.0
+    assert nmi(truth, const) == 0.0
+    assert evaluate(const, truth).nmi == 0.0
 
 
 def straightline_nmi(truth, pred):

@@ -431,6 +431,47 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_whose_write_fails_partway_leaves_only_whole_files(tmp_path):
+    # a file-size limit in a fresh process makes a write stop partway through
+    # the first file larger than the limit ("File too large"); the run ends in
+    # one exit-3 line naming that file, and out holds exactly the files
+    # written before it, each byte for byte as a run without the limit writes
+    # it, with no temporary file beside them
+    cfg = small_config(tmp_path)
+    whole = tmp_path / "whole"
+    assert main(["run", "--config", cfg, "--out", str(whole)]) == 0
+    sizes = {p.name: p.stat().st_size for p in whole.iterdir()}
+    order = [name for name in ("difficulty.csv", "training_log.csv",
+                               "artifacts.npz", "checkpoint.npz",
+                               "metrics.txt", "run_info.txt")
+             if name in sizes]
+    assert sorted(order) == sorted(sizes)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mvclust.__file__)))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for limit in (max(sizes.values()) - 1, 100):
+        failing = next(name for name in order if sizes[name] > limit)
+        out = tmp_path / f"limited{limit}"
+        script = ("import resource, sys\n"
+                  "from mvclust.cli import main\n"
+                  "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+                  f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard))\n"
+                  f"sys.exit(main(['run', '--config', {cfg!r}, "
+                  f"'--out', {str(out)!r}]))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 3, proc.stderr
+        errors = [line for line in proc.stderr.splitlines()
+                  if not line.startswith(("INFO ", "WARNING "))]
+        assert errors == [
+            f"data error: cannot write {out / failing}: File too large"]
+        written = order[:order.index(failing)]
+        assert sorted(p.name for p in out.iterdir()) == sorted(written)
+        for name in written:
+            assert (out / name).read_bytes() == (whole / name).read_bytes(), name
+
+
 def test_cli_ablate_subset(tmp_path, capsys):
     cfg = small_config(tmp_path, n=80)
     assert main(["ablate", "--config", cfg, "--variants", "NONE",
