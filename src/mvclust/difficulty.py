@@ -266,7 +266,7 @@ def _batch_losses_and_grads(model, stacked, embedder=True):
     start = 0
     for (key, x), (head, c_head) in zip(stacked.heads, head_caches):
         head.backward(c_head, dh[start:start + len(x)],
-                      g_embed[model.embed_slices[key]])
+                      g_embed[model.embed_slices[key]], input_grad=False)
         start += len(x)
     return sim / b, adv / b, g_embed, g_cls
 

@@ -112,14 +112,6 @@ def _act(name, z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _act_grad(name, z, a):
-    if name == "identity":
-        return np.ones_like(z)
-    if name == "relu":
-        return (z > 0.0).astype(float)
-    return a * (1.0 - a)
-
-
 def mlp_forward(params, spec, x):
     """Forward pass. Returns (output, cache); the cache feeds mlp_backward."""
     x = np.asarray(x, dtype=float)
@@ -132,7 +124,8 @@ def mlp_forward(params, spec, x):
     pre, post = [], []
     a = x
     for w, b, act in zip(params.weights, params.biases, spec.activations):
-        z = a @ w + b
+        z = a @ w
+        z += b
         a = _act(act, z)
         pre.append(z)
         post.append(a)
@@ -140,13 +133,20 @@ def mlp_forward(params, spec, x):
     return a, cache
 
 
-def mlp_backward(params, spec, cache, grad_out, out=None):
+def mlp_backward(params, spec, cache, grad_out, out=None, *,
+                 input_grad=True, param_grad=True):
     """Backprop. Returns (parameter gradient vector, gradient w.r.t. input).
 
     The parameter gradient is laid out like ``params.flat``, in a fresh
     vector, or added into ``out`` (a vector of ``spec.size``) when it is
     given and returned as ``out``, so several passes can accumulate into one
     buffer, or into a slice of a larger one.
+
+    ``input_grad=False`` skips the first layer's product with its weights
+    and returns None for the input gradient; ``param_grad=False`` skips
+    every weight and bias product, ignores ``out`` and returns None for the
+    parameter gradient. What is computed is bitwise what the full call
+    returns.
     """
     if cache.get("widths") != spec.widths or len(cache["pre"]) != spec.n_layers:
         raise ShapeError("cache does not match this network")
@@ -159,22 +159,31 @@ def mlp_backward(params, spec, cache, grad_out, out=None):
     if out is not None and out.shape != (spec.size,):
         raise ShapeError(f"gradient buffer of shape {out.shape}, "
                          f"network has {spec.size} parameters")
-    blocks = [None] * (2 * spec.n_layers)
+    fresh = out is None
+    if not param_grad:
+        out = None
+    elif fresh:
+        out = np.empty(spec.size)
     delta = grad_out
     for layer in range(spec.n_layers - 1, -1, -1):
-        z = cache["pre"][layer]
-        a = cache["post"][layer]
-        delta = delta * _act_grad(spec.activations[layer], z, a)
-        a_prev = cache["input"] if layer == 0 else cache["post"][layer - 1]
-        blocks[2 * layer] = (a_prev.T @ delta).ravel()
-        blocks[2 * layer + 1] = delta.sum(axis=0)
-        delta = delta @ params.weights[layer].T
-    if out is None:
-        out = np.concatenate(blocks)
-    else:
-        for (start, stop, _), block in zip(spec.layout, blocks):
-            out[start:stop] += block
-    return out, delta
+        act = spec.activations[layer]
+        if act == "relu":
+            delta = np.multiply(delta, cache["pre"][layer] > 0.0)
+        elif act == "sigmoid":
+            a = cache["post"][layer]
+            delta = delta * (a * (1.0 - a))
+        if param_grad:
+            a_prev = cache["input"] if layer == 0 else cache["post"][layer - 1]
+            (w0, w1, shape), (b0, b1, _) = spec.layout[2 * layer:2 * layer + 2]
+            if fresh:
+                np.matmul(a_prev.T, delta, out=out[w0:w1].reshape(shape))
+                np.sum(delta, axis=0, out=out[b0:b1])
+            else:
+                out[w0:w1] += (a_prev.T @ delta).ravel()
+                out[b0:b1] += delta.sum(axis=0)
+        if layer or input_grad:
+            delta = delta @ params.weights[layer].T
+    return out, delta if input_grad else None
 
 
 def clamp_prob(p):
@@ -201,9 +210,10 @@ class AdamState:
 # Adam runs over a long vector in slices of this many elements. Each
 # operation streams whole arrays, so over the reconciler's embedder (a
 # quarter-million parameters on six views) a single pass keeps missing the
-# cache and maps fresh pages for its scratch vectors on every call. Slices
-# of 256 KiB per array halved its time there (4.6 ms to 2.1 ms per step on
-# a 2-core x86-64 VM with numpy 2.4).
+# cache and maps a fresh page-faulted scratch vector on every call. Slices
+# of 256 KiB per array cut its time there from 2.3 ms to 1.8 ms per step
+# (2-core x86-64 VM, numpy 2.4, one BLAS thread); slices of 16384 or 65536
+# elements were 4-9% slower, 8192 or 131072 slower still.
 ADAM_CHUNK = 1 << 15
 
 
@@ -211,10 +221,17 @@ def adam_step(state, params, grads):
     """One bias-corrected Adam update, applied in place to ``params``.
 
     ``params`` and ``grads`` are vectors of one shape, normally a net's
-    ``params.flat`` and a gradient in the same layout. With m_hat = m/(1-b1^t)
-    and v_hat = v/(1-b2^t) the update is p -= lr*m_hat/(sqrt(v_hat) + eps);
-    every operation is elementwise, so a whole vector at once gives, bit for
-    bit, what each block updated on its own would give.
+    ``params.flat`` and a gradient in the same layout. The update is
+    p -= lr*m_hat/(sqrt(v_hat) + eps) with m_hat = m/(1-b1^t) and
+    v_hat = v/(1-b2^t), applied in the folded form of Section 2 of Kingma &
+    Ba (arXiv 1412.6980): p -= a_t*m/(sqrt(v) + eps_t), with the per-step
+    scalars a_t = lr*sqrt(1-b2^t)/(1-b1^t) and eps_t = eps*sqrt(1-b2^t).
+    The paper keeps a constant epsilon in the folded form, which shifts its
+    meaning; eps_t keeps the update algebraically the one above, so only
+    rounding differs. Every operation is elementwise, so a whole vector at
+    once gives, bit for bit, what each block updated on its own would give.
+    A non-finite gradient entry raises NumericalError naming its index
+    before anything is changed.
     """
     if params.ndim != 1 or params.shape != grads.shape:
         raise ShapeError(f"parameters of shape {params.shape} vs "
@@ -233,24 +250,25 @@ def adam_step(state, params, grads):
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    root = math.sqrt(1.0 - b2 ** t)
+    step_size = state.learning_rate * root / (1.0 - b1 ** t)
+    eps = ADAM_EPSILON * root
     for start in range(0, params.size, ADAM_CHUNK):
         chunk = slice(start, start + ADAM_CHUNK)
         p, g, m, v = params[chunk], grads[chunk], state.m[chunk], state.v[chunk]
-        # two scratch vectors, the operations in the order the formula reads
-        step = np.multiply(1.0 - b1, g)
+        # twelve passes over one scratch vector
+        scratch = np.multiply(1.0 - b1, g)
         m *= b1
-        m += step
-        np.multiply(1.0 - b2, g, out=step)
-        step *= g
+        m += scratch
+        np.multiply(1.0 - b2, g, out=scratch)
+        scratch *= g
         v *= b2
-        v += step
-        denom = np.divide(v, 1.0 - b2 ** t)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPSILON
-        np.divide(m, 1.0 - b1 ** t, out=step)
-        np.multiply(state.learning_rate, step, out=step)
-        step /= denom
-        p -= step
+        v += scratch
+        np.sqrt(v, out=scratch)
+        scratch += eps
+        np.divide(m, scratch, out=scratch)
+        scratch *= step_size
+        p -= scratch
 
 
 @dataclass
@@ -263,8 +281,10 @@ class Net:
     def forward(self, x):
         return mlp_forward(self.params, self.spec, x)
 
-    def backward(self, cache, grad_out, out=None):
-        return mlp_backward(self.params, self.spec, cache, grad_out, out)
+    def backward(self, cache, grad_out, out=None, *, input_grad=True,
+                 param_grad=True):
+        return mlp_backward(self.params, self.spec, cache, grad_out, out,
+                            input_grad=input_grad, param_grad=param_grad)
 
 
 def make_net(widths, activations, rng):

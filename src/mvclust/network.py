@@ -77,7 +77,7 @@ def ae_loss_closed(view_nets, x):
     loss = float((resid ** 2).sum() / b)
     d_xhat = 2.0 * resid / b
     g_gen, d_z = view_nets.generator.backward(cache_g, d_xhat)
-    g_enc, _ = view_nets.encoder.backward(cache_e, d_z)
+    g_enc, _ = view_nets.encoder.backward(cache_e, d_z, input_grad=False)
     return loss, g_enc, g_gen
 
 
@@ -103,8 +103,10 @@ def ae_loss_open(view_nets, x, z_common, n_views):
     loss = float(((r_hat ** 2).sum()
                   + lam * ((r_tilde ** 2).sum() + (r_z ** 2).sum())) / b)
     g_gen, d_z = view_nets.generator.backward(cache_g1, 2.0 * r_hat / b)
-    view_nets.generator.backward(cache_g2, 2.0 * lam * r_tilde / b, g_gen)
-    g_enc, _ = view_nets.encoder.backward(cache_e, d_z + 2.0 * lam * r_z / b)
+    view_nets.generator.backward(cache_g2, 2.0 * lam * r_tilde / b, g_gen,
+                                 input_grad=False)
+    g_enc, _ = view_nets.encoder.backward(cache_e, d_z + 2.0 * lam * r_z / b,
+                                          input_grad=False)
     return loss, g_enc, g_gen
 
 
@@ -133,14 +135,15 @@ def adversarial_losses(view_nets, x, fake):
     gen_value = float(np.log(1.0 - p_fake).mean())
     # descend -disc_value
     disc_grads, _ = view_nets.discriminator.backward(
-        cache_real, -in_real / p_real / b_real
+        cache_real, -in_real / p_real / b_real, input_grad=False
     )
     view_nets.discriminator.backward(
-        cache_fake, in_fake / (1.0 - p_fake) / b_fake, disc_grads
+        cache_fake, in_fake / (1.0 - p_fake) / b_fake, disc_grads,
+        input_grad=False
     )
     # generator descends gen_value => gradient w.r.t. fake inputs
     _, d_fake_for_gen = view_nets.discriminator.backward(
-        cache_fake, -in_fake / (1.0 - p_fake) / b_fake
+        cache_fake, -in_fake / (1.0 - p_fake) / b_fake, param_grad=False
     )
     return disc_value, disc_grads, gen_value, d_fake_for_gen
 
@@ -180,7 +183,7 @@ def _gan_round(vn, opt, x, z, epoch, batch):
     d_val, d_grads, g_val, d_fake = adversarial_losses(vn, x, fake)
     _check_finite(d_val, "discriminator value", epoch, batch)
     adam_step(opt.discriminator, vn.discriminator.params.flat, d_grads)
-    g_gen, _ = vn.generator.backward(cache_g, d_fake)
+    g_gen, _ = vn.generator.backward(cache_g, d_fake, input_grad=False)
     adam_step(opt.generator, vn.generator.params.flat, g_gen)
     return np.array([d_val, g_val])
 

@@ -162,21 +162,21 @@ def test_adam_rejects_shape_mismatch():
 
 
 def _reference_adam(state, params, grads):
-    # the update applied one parameter block at a time
+    # the folded update applied one parameter block at a time
     if not state["m"]:
         state["m"] = [np.zeros_like(p) for p in params]
         state["v"] = [np.zeros_like(p) for p in params]
     state["step"] += 1
     t = state["step"]
     b1, b2, lr, eps = 0.5, 0.99, 1e-2, 1e-8
+    root = np.sqrt(1.0 - b2 ** t)
+    step_size = lr * root / (1.0 - b1 ** t)
     for p, g, m, v in zip(params, grads, state["m"], state["v"]):
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p -= step_size * (m / (np.sqrt(v) + eps * root))
 
 
 def test_adam_on_flat_vector_matches_per_block_reference_bytewise():
@@ -213,6 +213,64 @@ def test_adam_over_several_chunks_matches_per_block_reference_bytewise():
     assert params.tobytes() == np.concatenate(ref).tobytes()
 
 
+def _textbook_adam(state, grads, lr):
+    # the update with both bias-corrected moments, as Adam is usually written:
+    # the form adam_step used before it folded the corrections into lr and eps
+    b1, b2, eps = 0.5, 0.99, 1e-8
+    state["step"] += 1
+    t = state["step"]
+    state["m"] = b1 * state["m"] + (1.0 - b1) * grads
+    state["v"] = b2 * state["v"] + (1.0 - b2) * grads * grads
+    m_hat = state["m"] / (1.0 - b1 ** t)
+    v_hat = state["v"] / (1.0 - b2 ** t)
+    return lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_folded_adam_tracks_the_textbook_update():
+    # The folded step lr*sqrt(1-b2^t)/(1-b1^t) * m / (sqrt(v) + eps*sqrt(1-b2^t))
+    # is the textbook update rewritten, so the two differ by rounding only.
+    # Every term is positive, so nothing cancels: the textbook side is within
+    # 5.5 units of 2^-53 of the exact update, the folded side within 8, and
+    # 16 units bound their relative difference, entry by entry, every step.
+    rng = np.random.default_rng(21)
+    n, lr = 64, 1e-3
+    scale = np.logspace(-12, 3, n)                  # gradient magnitudes
+    scale[:2] = 0.0                                 # two entries never move
+    state = AdamState(learning_rate=lr)
+    ref = {"step": 0, "m": np.zeros(n), "v": np.zeros(n)}
+    bound = 16 * np.finfo(float).eps / 2
+    for step in range(250):
+        grads = scale * rng.normal(size=n)
+        if step % 50 == 0:
+            grads[:] = 0.0                          # an all-zero gradient
+        params = np.zeros(n)
+        adam_step(state, params, grads)
+        want = _textbook_adam(ref, grads, lr)
+        np.testing.assert_array_equal(state.m, ref["m"])
+        np.testing.assert_array_equal(state.v, ref["v"])
+        # where the textbook update is 0, the folded one must be exactly 0
+        assert np.all(np.abs(-params - want) <= bound * np.abs(want))
+
+
+def test_adam_finiteness_check_is_exact():
+    state = AdamState(learning_rate=1e-2)
+    params = np.ones(3)
+    # every entry is finite, though their sum overflows; the squares
+    # overflow in the second moment, which leaves those entries in place
+    with np.errstate(over="ignore"):
+        adam_step(state, params, np.array([1e308, 1e308, 0.0]))
+    assert state.step == 1
+    np.testing.assert_array_equal(params, 1.0)
+    for grads, index in ((np.array([np.inf, -np.inf]), 0),
+                         (np.array([1.0, 2.0, np.nan, 3.0, 4.0]), 2)):
+        state = AdamState()
+        params = np.zeros(len(grads))
+        with pytest.raises(NumericalError, match=f"index {index}$"):
+            adam_step(state, params, grads)
+        assert state.step == 0 and state.m is None and state.v is None
+        np.testing.assert_array_equal(params, 0.0)
+
+
 def test_blocks_are_views_of_the_flat_vector():
     spec = MlpSpec((4, 3, 2), ("relu", "identity"))
     params = init_mlp(spec, np.random.default_rng(0))
@@ -241,6 +299,31 @@ def test_backward_accumulates_into_a_given_buffer(rng):
     np.testing.assert_array_equal(buffer[-2:], 0.0)
     with pytest.raises(ShapeError):
         net.backward(cache, out, np.zeros(net.spec.size - 1))
+
+
+@pytest.mark.parametrize("act", ["identity", "relu", "sigmoid"])
+@pytest.mark.parametrize("accumulate", [False, True])
+def test_flagged_backward_returns_the_full_calls_part_bytewise(act, accumulate):
+    rng = np.random.default_rng(3)
+    net = make_net([4, 6, 5, 3], [act, act, act], rng)
+    x = rng.normal(size=(7, 4))
+    out, cache = net.forward(x)
+    grad_out = rng.normal(size=out.shape)
+    start = rng.normal(size=net.spec.size)
+
+    def buffer():
+        return start.copy() if accumulate else None
+
+    full_params, full_input = net.backward(cache, grad_out, buffer())
+    params_only, no_input = net.backward(cache, grad_out, buffer(),
+                                         input_grad=False)
+    no_params, input_only = net.backward(cache, grad_out, buffer(),
+                                         param_grad=False)
+    assert no_input is None and no_params is None
+    assert params_only.tobytes() == full_params.tobytes()
+    assert input_only.tobytes() == full_input.tobytes()
+    if act == "relu":                               # the mask is not all ones
+        assert (cache["pre"][0] <= 0.0).any()
 
 
 def test_seeded_init_is_deterministic():

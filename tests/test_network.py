@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvclust import nets
 from mvclust.data import MultiViewDataset, make_synthetic, load_manifest
 from mvclust.errors import ShapeError
 from mvclust.nets import MlpParams, MlpSpec, Net, adam_step
@@ -168,6 +169,28 @@ def test_generator_adversarial_gradients_match_fd(rng):
     g_gen, _ = vn.generator.backward(cache_g, d_fake)
     assert_grads_close([g_gen],
                        numerical_grads(gen_value, [vn.generator.params.flat]))
+
+
+def test_adversarial_losses_makes_two_disc_forwards_and_three_backwards(
+        monkeypatch, rng):
+    # the benchmark's network.disc_backward_per_adv reads this count
+    model = build_model([4], 2, rng, hidden=(5,), disc_hidden=(6, 4))
+    vn = model.views[0]
+    calls = {"mlp_forward": 0, "mlp_backward": 0}
+
+    def counted(name):
+        fn = getattr(nets, name)
+
+        def wrapper(params, *args, **kwargs):
+            if params is vn.discriminator.params:
+                calls[name] += 1
+            return fn(params, *args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(nets, name, counted(name))
+    adversarial_losses(vn, rng.normal(size=(4, 4)), rng.normal(size=(3, 4)))
+    assert calls == {"mlp_forward": 2, "mlp_backward": 3}
 
 
 def test_fuse_subspace():
