@@ -332,7 +332,7 @@ def resolve_labels(model, dataset, labels):
             verdicts.setdefault(k, []).append(p_k)
     # With 3+ views, the pair verdicts, written in view-pair order, can leave
     # a sample mixed; fall back to the mean verdict over all its fused pairs.
-    for k in sorted({k for k, _, _ in collect_inconsistent(labels)}):
+    for k in np.flatnonzero((labels != labels[0]).any(axis=0)).tolist():
         labels[:, k] = 1 if np.mean(verdicts[k]) >= 0.5 else 0
     return labels
 
@@ -375,5 +375,6 @@ def export_difficulty(partitions, raw, resolved, path):
             region = np.full(part.n, "A")
             region[part.positive] = "P"
             region[part.negative] = "N"
-            for k in range(part.n):
-                fh.write(f"{k},{v},{region[k]},{raw[v, k]},{resolved[v, k]}\n")
+            fh.writelines(f"{k},{v},{r},{raw_k},{res_k}\n" for k, (r, raw_k, res_k)
+                          in enumerate(zip(region.tolist(), raw[v].tolist(),
+                                           resolved[v].tolist())))

@@ -70,26 +70,16 @@ class MlpParams:
 
     Every block is a reshaped view into one contiguous float64 vector,
     ``flat``, laid out as w0, b0, w1, b1, ..., so a single ufunc call updates
-    or accumulates a whole network. The views are made on first use. Assign
-    into a block in place (``w[...] = value``): rebinding a list entry
-    detaches it from ``flat``.
+    a whole network. Assign into a block in place (``w[...] = value``):
+    rebinding a list entry detaches it from ``flat``.
     """
 
     def __init__(self, flat, layout):
         """Parameters viewing ``flat`` (not a copy) in the given layout."""
         self.flat = flat
-        self._layout = layout
-
-    def _views(self, layout):
-        return [self.flat[start:stop].reshape(shape) for start, stop, shape in layout]
-
-    @cached_property
-    def weights(self):
-        return self._views(self._layout[0::2])
-
-    @cached_property
-    def biases(self):
-        return self._views(self._layout[1::2])
+        blocks = [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+        self.weights = blocks[0::2]
+        self.biases = blocks[1::2]
 
 
 def init_mlp(spec, rng, flat=None):
@@ -105,15 +95,18 @@ def init_mlp(spec, rng, flat=None):
 
 
 def _act(name, z):
+    """The activation of the pre-activation ``z``; relu overwrites ``z``."""
     if name == "identity":
         return z
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     return 1.0 / (1.0 + np.exp(-z))
 
 
 def mlp_forward(params, spec, x):
-    """Forward pass. Returns (output, cache); the cache feeds mlp_backward."""
+    """Forward pass. Returns (output, cache); the cache, which feeds
+    mlp_backward, is the list of layer activations, input first. Backward
+    reads no pre-activation: relu(z) > 0 exactly where z > 0."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"input must be 2-D (batch, features), got ndim={x.ndim}")
@@ -121,26 +114,23 @@ def mlp_forward(params, spec, x):
         raise ShapeError(
             f"input has {x.shape[1]} columns, network expects {spec.widths[0]}"
         )
-    pre, post = [], []
-    a = x
+    cache = [x]
     for w, b, act in zip(params.weights, params.biases, spec.activations):
-        z = a @ w
+        z = cache[-1] @ w
         z += b
-        a = _act(act, z)
-        pre.append(z)
-        post.append(a)
-    cache = {"input": x, "pre": pre, "post": post, "widths": spec.widths}
-    return a, cache
+        cache.append(_act(act, z))
+    return cache[-1], cache
 
 
 def mlp_backward(params, spec, cache, grad_out, out=None, *,
                  input_grad=True, param_grad=True):
     """Backprop. Returns (parameter gradient vector, gradient w.r.t. input).
 
-    The parameter gradient is laid out like ``params.flat``, in a fresh
-    vector, or added into ``out`` (a vector of ``spec.size``) when it is
-    given and returned as ``out``, so several passes can accumulate into one
-    buffer, or into a slice of a larger one.
+    ``cache`` is mlp_forward's list of activations. The parameter gradient
+    is laid out like ``params.flat`` and written into ``out`` (a vector of
+    ``spec.size``, such as a slice of a larger one) when it is given and
+    returned as ``out``, else into a fresh vector. To sum two passes, add
+    the returned vectors.
 
     ``input_grad=False`` skips the first layer's product with its weights
     and returns None for the input gradient; ``param_grad=False`` skips
@@ -148,39 +138,32 @@ def mlp_backward(params, spec, cache, grad_out, out=None, *,
     parameter gradient. What is computed is bitwise what the full call
     returns.
     """
-    if cache.get("widths") != spec.widths or len(cache["pre"]) != spec.n_layers:
+    if tuple(a.shape[1] for a in cache) != spec.widths:
         raise ShapeError("cache does not match this network")
     grad_out = np.asarray(grad_out, dtype=float)
-    if grad_out.shape != cache["post"][-1].shape:
+    if grad_out.shape != cache[-1].shape:
         raise ShapeError(
             f"output gradient shape {grad_out.shape} does not match "
-            f"forward output {cache['post'][-1].shape}"
+            f"forward output {cache[-1].shape}"
         )
     if out is not None and out.shape != (spec.size,):
         raise ShapeError(f"gradient buffer of shape {out.shape}, "
                          f"network has {spec.size} parameters")
-    fresh = out is None
     if not param_grad:
         out = None
-    elif fresh:
+    elif out is None:
         out = np.empty(spec.size)
     delta = grad_out
     for layer in range(spec.n_layers - 1, -1, -1):
-        act = spec.activations[layer]
+        act, a = spec.activations[layer], cache[layer + 1]
         if act == "relu":
-            delta = np.multiply(delta, cache["pre"][layer] > 0.0)
+            delta = np.multiply(delta, a > 0.0)
         elif act == "sigmoid":
-            a = cache["post"][layer]
             delta = delta * (a * (1.0 - a))
         if param_grad:
-            a_prev = cache["input"] if layer == 0 else cache["post"][layer - 1]
             (w0, w1, shape), (b0, b1, _) = spec.layout[2 * layer:2 * layer + 2]
-            if fresh:
-                np.matmul(a_prev.T, delta, out=out[w0:w1].reshape(shape))
-                np.sum(delta, axis=0, out=out[b0:b1])
-            else:
-                out[w0:w1] += (a_prev.T @ delta).ravel()
-                out[b0:b1] += delta.sum(axis=0)
+            np.matmul(cache[layer].T, delta, out=out[w0:w1].reshape(shape))
+            np.sum(delta, axis=0, out=out[b0:b1])
         if layer or input_grad:
             delta = delta @ params.weights[layer].T
     return out, delta if input_grad else None
@@ -215,6 +198,8 @@ class AdamState:
 # (2-core x86-64 VM, numpy 2.4, one BLAS thread); slices of 16384 or 65536
 # elements were 4-9% slower, 8192 or 131072 slower still.
 ADAM_CHUNK = 1 << 15
+# The largest gradient entry whose square is finite in float64.
+GRAD_LIMIT = math.sqrt(np.finfo(float).max)
 
 
 def adam_step(state, params, grads):
@@ -230,17 +215,22 @@ def adam_step(state, params, grads):
     meaning; eps_t keeps the update algebraically the one above, so only
     rounding differs. Every operation is elementwise, so a whole vector at
     once gives, bit for bit, what each block updated on its own would give.
-    A non-finite gradient entry raises NumericalError naming its index
+    A gradient entry that is not finite or above sqrt(float64 max), whose
+    square would send v to inf, raises NumericalError naming its index
     before anything is changed.
     """
     if params.ndim != 1 or params.shape != grads.shape:
         raise ShapeError(f"parameters of shape {params.shape} vs "
                          f"gradients of shape {grads.shape}; both must be "
                          "vectors of one length")
-    finite = np.isfinite(grads)
-    if not finite.all():
-        raise NumericalError(
-            f"non-finite gradient at index {int(np.argmin(finite))}")
+    # a finite sum of squares clears every entry; else scan them exactly
+    with np.errstate(over="ignore"):
+        squares = np.dot(grads, grads)
+    if not math.isfinite(squares):
+        bad = ~(np.abs(grads) <= GRAD_LIMIT)
+        if bad.any():
+            raise NumericalError("gradient not finite or above sqrt(float64 "
+                                 f"max) at index {int(np.argmax(bad))}")
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)

@@ -103,8 +103,8 @@ def ae_loss_open(view_nets, x, z_common, n_views):
     loss = float(((r_hat ** 2).sum()
                   + lam * ((r_tilde ** 2).sum() + (r_z ** 2).sum())) / b)
     g_gen, d_z = view_nets.generator.backward(cache_g1, 2.0 * r_hat / b)
-    view_nets.generator.backward(cache_g2, 2.0 * lam * r_tilde / b, g_gen,
-                                 input_grad=False)
+    g_gen += view_nets.generator.backward(cache_g2, 2.0 * lam * r_tilde / b,
+                                          input_grad=False)[0]
     g_enc, _ = view_nets.encoder.backward(cache_e, d_z + 2.0 * lam * r_z / b,
                                           input_grad=False)
     return loss, g_enc, g_gen
@@ -137,10 +137,9 @@ def adversarial_losses(view_nets, x, fake):
     disc_grads, _ = view_nets.discriminator.backward(
         cache_real, -in_real / p_real / b_real, input_grad=False
     )
-    view_nets.discriminator.backward(
-        cache_fake, in_fake / (1.0 - p_fake) / b_fake, disc_grads,
-        input_grad=False
-    )
+    disc_grads += view_nets.discriminator.backward(
+        cache_fake, in_fake / (1.0 - p_fake) / b_fake, input_grad=False
+    )[0]
     # generator descends gen_value => gradient w.r.t. fake inputs
     _, d_fake_for_gen = view_nets.discriminator.backward(
         cache_fake, -in_fake / (1.0 - p_fake) / b_fake, param_grad=False
@@ -202,7 +201,6 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
     rng = np.random.default_rng(seed)
     opts = [_ViewOptimizers(learning_rate) for _ in model.views]
     z_full = np.zeros((n, model.latent_width))
-    ever_selected = np.zeros(n, dtype=bool)
     gate_opened_epoch = -1
     rows = []
 
@@ -210,7 +208,6 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
         lam = pace_value(schedule, epoch, averaged_probs)
         mask = selection_mask(averaged_probs, lam)
         selected = np.nonzero(mask)[0]
-        ever_selected[selected] = True
         gate_open = gate(len(selected), n) or force_gate_open
         if gate_open and gate_opened_epoch < 0:
             gate_opened_epoch = epoch
@@ -275,13 +272,15 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
     if gate_opened_epoch < 0:
         log.warning("gate never opened; emitting the fused per-view latents")
 
-    # export-time fill: every row gets the current fused encoding
-    fused_now = fuse_subspace([model.views[i].encoder.forward(dataset.views[i])[0]
-                               for i in range(n_views)])
-    if gate_opened_epoch < 0:
-        z_full = fused_now
-    else:
-        z_full[~ever_selected] = fused_now[~ever_selected]
+    # export-time fill of the rows no open epoch fused: the pace never rises,
+    # so the last epoch's selection holds every earlier one
+    if gate_opened_epoch < 0 or len(selected) < n:
+        fused_now = fuse_subspace([model.views[i].encoder.forward(dataset.views[i])[0]
+                                   for i in range(n_views)])
+        if gate_opened_epoch < 0:
+            z_full = fused_now
+        else:
+            z_full[mask == 0] = fused_now[mask == 0]
 
     if log_path:
         write_training_log(rows, log_path)

@@ -195,12 +195,16 @@ def test_criterion_2_ordering_theorem():
 
 # --- criterion 3: finite-difference gradient checks --------------------------
 
-def _relu_margin(cache, activations):
-    """Smallest |pre-activation| over the relu layers of one forward pass."""
+def _relu_margin(net, cache):
+    """Smallest |pre-activation| over the relu layers of one forward pass of
+    ``net``, recomputed from the cached layer inputs as the forward does."""
     margin = np.inf
-    for pre, act in zip(cache["pre"], activations):
+    for a, w, b, act in zip(cache, net.params.weights, net.params.biases,
+                            net.spec.activations):
         if act == "relu":
-            margin = min(margin, float(np.abs(pre).min()))
+            z = a @ w
+            z += b
+            margin = min(margin, float(np.abs(z).min()))
     return margin
 
 
@@ -218,12 +222,12 @@ def _smoothness_margin(model, ds, batch):
         margin = min(margin, abs(float(s)))
         for e in (e_i, e_j):
             _, c_cls = model.classifier.forward(e)
-            margin = min(margin, _relu_margin(
-                c_cls, model.classifier.spec.activations))
-        for c in (ch_i, ch_j, ch_f):
-            margin = min(margin, _relu_margin(c, ("relu",)))
+            margin = min(margin, _relu_margin(model.classifier, c_cls))
+        for head, c in ((model.view_heads[i], ch_i), (model.view_heads[j], ch_j),
+                        (model.pair_heads[(i, j)], ch_f)):
+            margin = min(margin, _relu_margin(head, c))
         for c in (ct_i, ct_j, ct_f):
-            margin = min(margin, _relu_margin(c, model.trunk.spec.activations))
+            margin = min(margin, _relu_margin(model.trunk, c))
     return margin
 
 
@@ -246,7 +250,7 @@ def _check_close(analytic, numeric, tol=1e-4):
 
 def _net_relu_margin(net, x):
     _, cache = net.forward(x)
-    return _relu_margin(cache, net.spec.activations)
+    return _relu_margin(net, cache)
 
 
 def _gan_setup(seed):

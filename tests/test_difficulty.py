@@ -469,9 +469,9 @@ def _ref_batch_losses_and_grads(model, ds, batch):
             (alpha * active * 2.0 * (diff_i - diff_j) / b, cache_f,
              model.pair_heads[(i, j)], (i, j)),
         ):
-            _, dh = model.trunk.backward(c_trunk, e_grad,
-                                         g_embed[model.embed_slices["trunk"]])
-            head.backward(c_head, dh, g_embed[model.embed_slices[key]])
+            g_trunk, dh = model.trunk.backward(c_trunk, e_grad)
+            g_embed[model.embed_slices["trunk"]] += g_trunk
+            g_embed[model.embed_slices[key]] += head.backward(c_head, dh)[0]
     return sim_total / b, adv_total / b, g_embed, g_cls
 
 

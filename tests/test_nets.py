@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -253,22 +255,32 @@ def test_folded_adam_tracks_the_textbook_update():
 
 
 def test_adam_finiteness_check_is_exact():
+    limit = math.sqrt(np.finfo(float).max)
+    # entries whose squares are finite pass, though the sum of the squares
+    # overflows, and the second moment stays finite
     state = AdamState(learning_rate=1e-2)
     params = np.ones(3)
-    # every entry is finite, though their sum overflows; the squares
-    # overflow in the second moment, which leaves those entries in place
-    with np.errstate(over="ignore"):
-        adam_step(state, params, np.array([1e308, 1e308, 0.0]))
-    assert state.step == 1
-    np.testing.assert_array_equal(params, 1.0)
-    for grads, index in ((np.array([np.inf, -np.inf]), 0),
-                         (np.array([1.0, 2.0, np.nan, 3.0, 4.0]), 2)):
-        state = AdamState()
-        params = np.zeros(len(grads))
+    adam_step(state, params, np.array([limit, -limit, 0.0]))
+    assert state.step == 1 and np.isfinite(state.v).all()
+    assert params[0] < 1.0 < params[1] and params[2] == 1.0
+    # an entry whose square overflows would send v to inf and freeze it
+    above = np.nextafter(limit, np.inf)
+    for grads, index in ((np.array([1e308, 1e308, 0.0]), 0),
+                         (np.array([0.0, -above, above]), 1),
+                         (np.array([np.inf, -np.inf, 0.0]), 0),
+                         (np.array([1.0, 2.0, np.nan]), 2)):
+        before = (params.copy(), state.m.copy(), state.v.copy())
         with pytest.raises(NumericalError, match=f"index {index}$"):
             adam_step(state, params, grads)
-        assert state.step == 0 and state.m is None and state.v is None
-        np.testing.assert_array_equal(params, 0.0)
+        assert state.step == 1
+        for now, then in zip((params, state.m, state.v), before):
+            assert now.tobytes() == then.tobytes()
+    state = AdamState()
+    params = np.zeros(5)
+    with pytest.raises(NumericalError, match="index 2$"):
+        adam_step(state, params, np.array([1.0, 2.0, np.nan, 3.0, 4.0]))
+    assert state.step == 0 and state.m is None and state.v is None
+    np.testing.assert_array_equal(params, 0.0)
 
 
 def test_blocks_are_views_of_the_flat_vector():
@@ -284,26 +296,25 @@ def test_blocks_are_views_of_the_flat_vector():
     np.testing.assert_array_equal(params.biases[1], [21.0, 22.0])
 
 
-def test_backward_accumulates_into_a_given_buffer(rng):
+def test_backward_writes_into_a_given_buffer(rng):
     net = make_net([3, 4, 2], ["sigmoid", "identity"], rng)
     x = rng.normal(size=(5, 3))
     out, cache = net.forward(x)
-    once, _ = net.backward(cache, out)
-    buffer = np.zeros(net.spec.size + 4)
+    fresh, _ = net.backward(cache, out)
+    buffer = rng.normal(size=net.spec.size + 4)
+    neighbours = buffer[[0, 1, -2, -1]].copy()
     target = buffer[2:-2]
     grads, _ = net.backward(cache, out, target)
-    net.backward(cache, out, target)
     assert grads is target
-    np.testing.assert_allclose(target, 2.0 * once, rtol=1e-15)
-    np.testing.assert_array_equal(buffer[:2], 0.0)
-    np.testing.assert_array_equal(buffer[-2:], 0.0)
+    assert target.tobytes() == fresh.tobytes()
+    np.testing.assert_array_equal(buffer[[0, 1, -2, -1]], neighbours)
     with pytest.raises(ShapeError):
         net.backward(cache, out, np.zeros(net.spec.size - 1))
 
 
 @pytest.mark.parametrize("act", ["identity", "relu", "sigmoid"])
-@pytest.mark.parametrize("accumulate", [False, True])
-def test_flagged_backward_returns_the_full_calls_part_bytewise(act, accumulate):
+@pytest.mark.parametrize("prefilled", [False, True])
+def test_flagged_backward_returns_the_full_calls_part_bytewise(act, prefilled):
     rng = np.random.default_rng(3)
     net = make_net([4, 6, 5, 3], [act, act, act], rng)
     x = rng.normal(size=(7, 4))
@@ -312,7 +323,7 @@ def test_flagged_backward_returns_the_full_calls_part_bytewise(act, accumulate):
     start = rng.normal(size=net.spec.size)
 
     def buffer():
-        return start.copy() if accumulate else None
+        return start.copy() if prefilled else None
 
     full_params, full_input = net.backward(cache, grad_out, buffer())
     params_only, no_input = net.backward(cache, grad_out, buffer(),
@@ -322,8 +333,10 @@ def test_flagged_backward_returns_the_full_calls_part_bytewise(act, accumulate):
     assert no_input is None and no_params is None
     assert params_only.tobytes() == full_params.tobytes()
     assert input_only.tobytes() == full_input.tobytes()
+    # a given buffer is written, whatever it held
+    assert net.backward(cache, grad_out)[0].tobytes() == full_params.tobytes()
     if act == "relu":                               # the mask is not all ones
-        assert (cache["pre"][0] <= 0.0).any()
+        assert (cache[1] <= 0.0).any()
 
 
 def test_seeded_init_is_deterministic():

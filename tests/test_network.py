@@ -328,7 +328,7 @@ def test_open_gate_cache_matches_reencoding_loop():
 
 
 def test_open_batch_encodes_each_view_three_times_less_one():
-    ds, probs = three_view_setup()
+    ds, _ = three_view_setup()
     model = build_model([v.shape[1] for v in ds.views], 3,
                         np.random.default_rng(0), hidden=(6,))
     calls = []
@@ -341,13 +341,24 @@ def test_open_batch_encodes_each_view_three_times_less_one():
 
     for vn in model.views:
         vn.encoder.forward = counted(vn.encoder.forward)
-    result = train(model, ds, np.ones(ds.n), PaceSchedule(max_epochs=1),
-                   batch_size=16, seed=0, force_gate_open=True)
-    n_views, batches = ds.n_views, -(-result.log_rows[0]["mask_size"] // 16)
-    assert batches == 3
-    # one fusion of the selected set and one export-time encode per view,
-    # and 3V - 1 encoder passes per open batch
-    assert len(calls) == 2 * n_views + batches * (3 * n_views - 1)
+    probs = np.ones(ds.n)
+    for unselected in (0, 5):
+        probs[:unselected] = 0.5                # below the pace of 1.0
+        calls.clear()
+        result = train(model, ds, probs, PaceSchedule(max_epochs=1),
+                       batch_size=16, seed=0, force_gate_open=True)
+        n_views = ds.n_views
+        assert result.log_rows[0]["mask_size"] == ds.n - unselected
+        batches = -(-result.log_rows[0]["mask_size"] // 16)
+        assert batches == 3
+        # one fusion of the selected set per view and 3V - 1 encoder passes
+        # per open batch; the export-time encode of every row, once per
+        # view, runs only when some rows were never selected
+        export = n_views if unselected else 0
+        assert len(calls) == n_views + batches * (3 * n_views - 1) + export
+        fused = fuse_subspace([vn.encoder.forward(view)[0]
+                               for vn, view in zip(model.views, ds.views)])
+        assert result.z[:unselected].tobytes() == fused[:unselected].tobytes()
 
 
 def test_checkpoint_holds_every_parameter_exactly(tmp_path, rng):
