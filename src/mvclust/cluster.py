@@ -36,76 +36,164 @@ def _kmeans_pp_init(z, c, rng):
     return centers
 
 
+def _sq_dists(z, centers):
+    """(R, n) squared distances of the rows to one center per restart."""
+    diff = z - centers[:, None, :]
+    diff *= diff
+    return diff.sum(axis=2)
+
+
+def _kmeans_pp_lockstep(z, c, restarts, rng):
+    """k-means++ centers (R, c, p) of every restart at once, from the draws
+    ``_kmeans_pp_init`` makes restart after restart; None if a pick meets a
+    zero total, where that seeding draws an integer instead.
+
+    ``rng.choice(n, p=d2 / total)`` is the inverse CDF of one uniform draw:
+    the count of ``cdf <= u``, with ``cdf`` the cumulative sum of ``p``
+    divided by its last entry."""
+    n = z.shape[0]
+    first = np.empty(restarts, dtype=int)
+    u = np.empty((restarts, c - 1))
+    for r in range(restarts):
+        first[r] = rng.integers(n)
+        u[r] = rng.random(c - 1)
+    centers = np.empty((restarts, c, z.shape[1]))
+    centers[:, 0] = z[first]
+    for q in range(1, c):
+        # squared distances to the nearest center picked so far; none are
+        # needed after the last pick
+        near = _sq_dists(z, centers[:, q - 1])
+        d2 = near if q == 1 else np.minimum(d2, near, out=d2)
+        total = d2.sum(axis=1, keepdims=True)
+        if not (total > 0.0).all():
+            return None
+        cdf = np.cumsum(d2 / total, axis=1)
+        cdf /= cdf[:, -1:]
+        centers[:, q] = z[(cdf <= u[:, q - 1, None]).sum(axis=1)]
+    return centers
+
+
 def _nearest(z, zz, centers):
-    """Index of each row's nearest center (ties to the lower index), from
-    ``|z|^2 - 2 z c^T + |c|^2`` with ``zz`` the rows' squared norms."""
-    d2 = z @ centers.T
+    """(R, n) index of each row's nearest center in each restart's (c, p)
+    centers (ties to the lower index), from ``|z|^2 - 2 z c^T + |c|^2`` with
+    ``zz`` the rows' squared norms, (n, 1) or repeated to (n, c). One product
+    per restart, bit for bit: the stacked ``z @ c^T`` runs one GEMM per
+    restart."""
+    d2 = np.matmul(z, centers.transpose(0, 2, 1))
     d2 *= -2.0
     d2 += zz
-    d2 += np.einsum("ij,ij->i", centers, centers)
-    return d2.argmin(axis=1)
+    d2 += np.einsum("rij,rij->ri", centers, centers)[:, None, :]
+    return d2.argmin(axis=2)
 
 
-def _member_sums(columns, assign, c):
-    """Row count and coordinate sums per cluster from ``columns = z.T``,
-    members added in index order, so ``sums[q] / counts[q]`` is
-    ``z[assign == q].mean(axis=0)`` bit for bit when z has two or more
-    columns."""
-    counts = np.bincount(assign, minlength=c)
-    sums = np.stack([np.bincount(assign, weights=col, minlength=c)
-                     for col in columns], axis=1)
-    return counts, sums
+def _member_sums(weights, assign, c):
+    """Row counts (R, c) and coordinate sums (R, c, p) per restart and
+    cluster, from ``assign`` (R, n) and ``weights``, ``z.T`` tiled at least
+    R times along its rows. One bincount per column over ``r·c + assign``
+    adds each cluster's members in index order, so ``sums[r, q] /
+    counts[r, q]`` is ``z[assign[r] == q].mean(axis=0)`` bit for bit when
+    z has two or more columns."""
+    restarts, n = assign.shape
+    bins = (assign + c * np.arange(restarts)[:, None]).ravel()
+    size = restarts * c
+    counts = np.bincount(bins, minlength=size).reshape(restarts, c)
+    sums = np.stack([np.bincount(bins, weights=w[:bins.size], minlength=size)
+                     for w in weights], axis=1)
+    return counts, sums.reshape(restarts, c, -1)
+
+
+def _update_with_empty(z, weights, centers, assign, counts, sums):
+    """One restart's center update, in place, when a cluster is empty."""
+    c = centers.shape[0]
+    for q in range(c):
+        if counts[q]:
+            centers[q] = sums[q] / counts[q]
+        else:
+            # re-seed an empty cluster to the point farthest from its center
+            far = ((z - centers[assign]) ** 2).sum(axis=1).argmax()
+            centers[q] = z[far]
+            assign[far] = q
+            # the cluster that gave up the point has one member fewer
+            counts, sums = _member_sums(weights, assign[None], c)
+            counts, sums = counts[0], sums[0]
 
 
 def _lloyd(z, zz, centers, max_iter):
-    c = centers.shape[0]
-    columns = np.ascontiguousarray(z.T)  # bincount reads contiguous weights
-    assign = None
-    for _ in range(max_iter):
-        new_assign = _nearest(z, zz, centers)
-        if assign is not None and np.array_equal(new_assign, assign):
-            return centers, new_assign  # converged: the centers did not move
-        assign = new_assign
-        counts, sums = _member_sums(columns, assign, c)
-        for q in range(c):
-            if counts[q]:
-                centers[q] = sums[q] / counts[q]
-            else:
-                # re-seed an empty cluster to the point farthest from its center
-                far = ((z - centers[assign]) ** 2).sum(axis=1).argmax()
-                centers[q] = z[far]
-                assign[far] = q
-                # the cluster that gave up the point has one member fewer
-                counts, sums = _member_sums(columns, assign, c)
-    # max_iter ran out: assign to the centers the last update left
-    return centers, _nearest(z, zz, centers)
+    """Lloyd's algorithm on every restart's centers (R, c, p) in lockstep,
+    in place; returns the (R, n) assignments. A restart stops at the step
+    whose assignment repeats its last; after ``max_iter`` updates the rows
+    go to the centers the last update left."""
+    restarts, c, _ = centers.shape
+    weights = np.tile(z.T, (1, restarts))  # contiguous rows for bincount
+    zz = np.repeat(zz, c, axis=1)  # (n, c), so its add runs over whole rows
+    assign = np.empty((restarts, z.shape[0]), dtype=np.intp)
+    # the restarts still stepping, their centers and their last assignments
+    active, cur, last = np.arange(restarts), centers, None
+    for step in range(max_iter + 1):
+        new_assign = _nearest(z, zz, cur)
+        if step == max_iter:
+            # max_iter ran out: assign to the centers the last update left
+            last = new_assign
+            break
+        if step:
+            # a restart whose assignment repeats has converged: its centers
+            # did not move
+            moved = (new_assign != last).any(axis=1)
+            if not moved.all():
+                centers[active[~moved]] = cur[~moved]
+                assign[active[~moved]] = last[~moved]
+                active, cur = active[moved], cur[moved]
+                new_assign = new_assign[moved]
+                if not active.size:
+                    return assign
+        last = new_assign
+        counts, sums = _member_sums(weights, last, c)
+        full = counts.all(axis=1)
+        cur[full] = sums[full] / counts[full][:, :, None]
+        for i in np.flatnonzero(~full):
+            _update_with_empty(z, weights, cur[i], last[i], counts[i], sums[i])
+    centers[active] = cur
+    assign[active] = last
+    return assign
 
 
 def kmeans(z, c, max_iter=100, seed=0, restarts=20):
     """Lloyd's algorithm from k-means++ seeding; keeps the best of ``restarts``
-    runs (ties by restart index). A z that is not finite, or whose squared
-    distances could overflow float64, is a NumericalError."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
+    runs (ties by restart index). The restarts run in lockstep: all are
+    seeded first, from the draws one after another would make, with each
+    k-means++ pick the inverse CDF of one uniform draw; then every restart
+    that has not converged takes each Lloyd step together. Data where a
+    pick meets a zero total (fewer distinct rows than ``c``) is seeded one
+    restart at a time. A z that is not finite, or whose squared distances
+    could overflow float64, is a NumericalError."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 2:
+        raise ShapeError(f"k-means needs a 2-D array of rows, got {z.ndim}-D")
     n = z.shape[0]
     if c < 1:
         raise DataError(f"cluster count must be >= 1, got {c}")
     if c > n:
         raise DataError(f"cannot form {c} clusters from {n} samples")
+    if restarts < 1:
+        raise DataError(f"k-means restarts must be >= 1, got {restarts}")
+    if max_iter < 1:
+        raise DataError(f"k-means max_iter must be >= 1, got {max_iter}")
     zz = np.einsum("ij,ij->i", z, z)[:, None]
     # a squared distance to a center in the rows' hull is <= 4 max |z|^2, and
     # the seeding and the objective add up n of them
     if not zz.max() <= np.finfo(float).max / (4 * n):
         raise NumericalError("k-means input is not finite or its squared "
                              "distances overflow float64")
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        centers = _kmeans_pp_init(z, c, rng)
-        centers, assign = _lloyd(z, zz, centers.copy(), max_iter)
-        obj = _objective(z, centers, assign)
-        if best is None or obj < best.objective:
-            best = ClusterModel(centers, assign, obj)
-    return best
+    centers = _kmeans_pp_lockstep(z, c, restarts, np.random.default_rng(seed))
+    if centers is None:
+        rng = np.random.default_rng(seed)
+        centers = np.stack([_kmeans_pp_init(z, c, rng)
+                            for _ in range(restarts)])
+    assign = _lloyd(z, zz, centers, max_iter)
+    objectives = [_objective(z, centers[r], assign[r]) for r in range(restarts)]
+    best = int(np.argmin(objectives))  # the first of equal objectives
+    return ClusterModel(centers[best].copy(), assign[best].copy(),
+                        objectives[best])
 
 
 def _contingency(pred, truth):

@@ -66,6 +66,22 @@ def test_kmeans_validation(rng):
         kmeans(rng.normal(size=(5, 2)), 0)
 
 
+def test_kmeans_rejects_zero_restarts(rng):
+    with pytest.raises(DataError, match="restarts must be >= 1, got 0"):
+        kmeans(rng.normal(size=(10, 2)), 3, restarts=0)
+
+
+def test_kmeans_rejects_zero_max_iter(rng):
+    with pytest.raises(DataError, match="max_iter must be >= 1, got 0"):
+        kmeans(rng.normal(size=(10, 2)), 3, max_iter=0)
+
+
+def test_kmeans_rejects_one_dimensional_input():
+    # not read as one row of four features
+    with pytest.raises(ShapeError, match="2-D array of rows, got 1-D"):
+        kmeans(np.array([0.0, 0.1, 10.0, 10.1]), 2)
+
+
 def test_kmeans_deterministic(rng):
     x = rng.normal(size=(50, 3))
     a = kmeans(x, 3, seed=11)
@@ -74,17 +90,20 @@ def test_kmeans_deterministic(rng):
     np.testing.assert_array_equal(a.centers, b.centers)
 
 
-def lloyd_with_final_pass(z, zz, centers, max_iter):
+def lloyd_with_final_pass(z, centers, max_iter):
     """Lloyd's loop that always reassigns once more after it stops, with
-    broadcast distances and per-cluster means (``zz`` is not read)."""
+    broadcast distances and per-cluster means; also returns how many center
+    updates it made."""
     c = centers.shape[0]
     assign = None
+    updates = 0
     for _ in range(max_iter):
         d2 = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2.argmin(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
+        updates += 1
         for q in range(c):
             members = z[assign == q]
             if len(members):
@@ -94,7 +113,22 @@ def lloyd_with_final_pass(z, zz, centers, max_iter):
                 centers[q] = z[far]
                 assign[far] = q
     d2 = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return centers, d2.argmin(axis=1)
+    return centers, d2.argmin(axis=1), updates
+
+
+def reference_kmeans(z, c, max_iter=100, seed=0, restarts=20):
+    """k-means one restart after another: k-means++ seeding with
+    ``rng.choice``, Lloyd, and the lowest objective (ties by restart
+    index)."""
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        centers, assign, _ = lloyd_with_final_pass(
+            z, cluster._kmeans_pp_init(z, c, rng), max_iter)
+        obj = cluster._objective(z, centers, assign)
+        if best is None or obj < best.objective:
+            best = cluster.ClusterModel(centers, assign, obj)
+    return best
 
 
 def blobs(rng, n, p, c):
@@ -103,18 +137,16 @@ def blobs(rng, n, p, c):
     return centers[rng.integers(0, c, size=n)] + rng.normal(size=(n, p))
 
 
-def assert_kmeans_equals_reference(monkeypatch, x, c, **kwargs):
+def assert_kmeans_equals_reference(x, c, **kwargs):
     got = kmeans(x, c, **kwargs)
-    with monkeypatch.context() as m:
-        m.setattr(cluster, "_lloyd", lloyd_with_final_pass)
-        ref = kmeans(x, c, **kwargs)
+    ref = reference_kmeans(x, c, **kwargs)
     assert got.centers.tobytes() == ref.centers.tobytes()
     assert got.assignments.tobytes() == ref.assignments.tobytes()
     assert got.assignments.dtype == ref.assignments.dtype
     assert got.objective == ref.objective
 
 
-def test_kmeans_bytewise_equal_to_lloyd_with_final_pass(rng, monkeypatch):
+def test_kmeans_bytewise_equal_to_lloyd_with_final_pass(rng):
     # duplicated rows leave k-means++ seeds coinciding, so clusters go empty;
     # in the second set a re-seed takes a row from a later cluster, whose
     # mean then changes in the last bits (three copies of -0.8 do not
@@ -127,35 +159,94 @@ def test_kmeans_bytewise_equal_to_lloyd_with_final_pass(rng, monkeypatch):
                                                        (tenths, 6)]
     for (x, c), seed, max_iter in itertools.product(cases, range(4),
                                                     (1, 2, 100)):
-        assert_kmeans_equals_reference(monkeypatch, x, c, max_iter=max_iter,
-                                       seed=seed, restarts=3)
+        assert_kmeans_equals_reference(x, c, max_iter=max_iter, seed=seed,
+                                       restarts=3)
     # the shapes the benchmark clusters: full3000's 3000x10 subspace with 5
     # clusters, ablate300's best view (300x14, 3 clusters), and more clusters
-    # than the data has blobs
+    # than the data has blobs; with 3 restarts and with the default 20
     for (n, p, c, blob_count), seed in itertools.product(
             ((3000, 10, 5, 5), (300, 14, 3, 3), (100, 10, 10, 4)), range(2)):
         x = blobs(rng, n, p, blob_count)
-        assert_kmeans_equals_reference(monkeypatch, x, c, seed=seed,
-                                       restarts=3)
+        assert_kmeans_equals_reference(x, c, seed=seed, restarts=3)
+        assert_kmeans_equals_reference(x, c, seed=seed)
 
 
-def test_exact_ties_go_to_the_lower_center_index(monkeypatch):
+def test_kmeans_bytewise_equal_when_seeding_meets_a_zero_total(rng):
+    # every row equal, or fewer distinct rows than clusters: a k-means++ pick
+    # finds every row on a center and draws an integer instead, so the
+    # restarts are seeded one at a time. The equal rows are dyadic, so their
+    # mean is the row itself and every distance is an exact tie in the
+    # expanded form as in the broadcast one (the mean of 12 copies of another
+    # row may miss it in the last bit, and the two forms may then break the
+    # near-tie apart, as README says)
+    equal = np.tile([[0.5, -1.25, 3.0]], (12, 1))
+    few = np.repeat(rng.normal(size=(3, 4)), [5, 1, 4], axis=0)
+    for (x, c), seed, max_iter in itertools.product(
+            ((equal, 1), (equal, 3), (few, 4), (few, 6)), range(3),
+            (1, 2, 100)):
+        if c > 1:
+            assert cluster._kmeans_pp_lockstep(
+                x, c, 20, np.random.default_rng(seed)) is None
+        assert_kmeans_equals_reference(x, c, max_iter=max_iter, seed=seed)
+
+
+def test_kmeans_bytewise_equal_when_restarts_converge_apart(rng):
+    # touching blobs: the 20 restarts of seed 0 stop after 2 to 7 updates, so
+    # max_iter 1, 2 and 3 cut some restarts short and not others
+    x = blobs(rng, 150, 2, 3)
+    seeding = np.random.default_rng(0)
+    updates = {lloyd_with_final_pass(x, cluster._kmeans_pp_init(x, 3, seeding),
+                                     100)[2] for _ in range(20)}
+    assert min(updates) <= 2 and max(updates) > 3
+    for seed, max_iter in itertools.product(range(3), (1, 2, 3, 100)):
+        assert_kmeans_equals_reference(x, 3, max_iter=max_iter, seed=seed)
+
+
+class FixedDraws:
+    """Stands in for the generator: row 0 first, then the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def integers(self, n):
+        return 0
+
+    def random(self, size):
+        return np.array([self.uniforms.pop(0) for _ in range(size)])
+
+
+def test_kmeans_pp_pick_is_the_inverse_cdf_of_one_draw():
+    # rows at 0, 1, 2 and 3 with the first center on row 0: the pick
+    # probabilities are 0, 1, 4 and 9 over 14, and Generator.choice picks
+    # the count of cdf entries <= u (searchsorted side="right"), so a draw
+    # on a breakpoint goes past it and u = 0 never picks the zero-probability
+    # row 0
+    z = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    cdf = np.cumsum(np.array([0.0, 1.0, 4.0, 9.0]) / 14.0)
+    cdf /= cdf[-1]
+    for u in (0.0, cdf[1], np.nextafter(cdf[1], 0.0), cdf[2], 0.999):
+        centers = cluster._kmeans_pp_lockstep(z, 2, 1, FixedDraws([u]))
+        pick = int(np.searchsorted(cdf, u, side="right"))
+        assert pick > 0
+        np.testing.assert_array_equal(centers[0], z[[0, pick]])
+
+
+def test_exact_ties_go_to_the_lower_center_index():
     # integer points on x = 1 are exactly equidistant from (0, 0) and (2, 0),
     # in the expanded form as in the broadcast one
     z = np.array([[1.0, 0.0], [1.0, 5.0], [1.0, -3.0], [0.0, 1.0], [2.0, 2.0]])
     zz = np.einsum("ij,ij->i", z, z)[:, None]
     left_first = np.array([[0.0, 0.0], [2.0, 0.0]])
-    np.testing.assert_array_equal(cluster._nearest(z, zz, left_first),
-                                  [0, 0, 0, 0, 1])
-    np.testing.assert_array_equal(cluster._nearest(z, zz, left_first[::-1]),
-                                  [0, 0, 0, 1, 0])
+    np.testing.assert_array_equal(cluster._nearest(z, zz, left_first[None]),
+                                  [[0, 0, 0, 0, 1]])
+    np.testing.assert_array_equal(
+        cluster._nearest(z, zz, left_first[None, ::-1]), [[0, 0, 0, 1, 0]])
     # on a grid symmetric about x = 1 and y = 0, Lloyd's steps meet rows at
     # exact ties between centers
     grid = np.array([[x, y] for x in range(3) for y in range(-2, 3)],
                     dtype=float)
     for seed, c in itertools.product(range(8), (2, 3, 4)):
-        assert_kmeans_equals_reference(monkeypatch, grid, c, seed=seed,
-                                       restarts=2)
+        assert_kmeans_equals_reference(grid, c, seed=seed, restarts=2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 8, 10, 14, 33])
@@ -165,10 +256,10 @@ def test_member_sums_over_counts_are_the_member_means(rng, p):
     c = 4
     z = rng.normal(size=(1000, p)) * 10.0 ** rng.integers(-6, 7, size=p)
     assign = rng.integers(0, c, size=1000)
-    counts, sums = cluster._member_sums(z.T, assign, c)
+    counts, sums = cluster._member_sums(z.T, assign[None], c)
     for q in range(c):
         mean = z[assign == q].mean(axis=0)
-        assert (sums[q] / counts[q]).tobytes() == mean.tobytes()
+        assert (sums[0, q] / counts[0, q]).tobytes() == mean.tobytes()
 
 
 def test_kmeans_rejects_overflowing_or_non_finite_input(rng):
@@ -187,14 +278,17 @@ def test_kmeans_rejects_overflowing_or_non_finite_input(rng):
 
 def test_kmeans_identical_across_blas_threads(tmp_path):
     # n = 3000 is large enough for OpenBLAS to split the distance GEMM across
-    # threads; fresh processes, so the thread count is read at start-up
+    # threads; 300x8 with 3 clusters is ablate300's shape; the default 20
+    # restarts step together, as in the pipeline; fresh processes, so the
+    # thread count is read at start-up
     script = ("import hashlib, numpy as np\n"
               "from mvclust.cluster import kmeans\n"
               "rng = np.random.default_rng(3)\n"
-              "centers = rng.normal(0.0, 3.0, size=(5, 10))\n"
-              "z = centers[rng.integers(0, 5, 3000)] + rng.normal(size=(3000, 10))\n"
-              "m = kmeans(z, 5, seed=1, restarts=4)\n"
-              "print(hashlib.sha256(m.centers.tobytes()"
+              "for n, p, c in ((3000, 10, 5), (300, 8, 3)):\n"
+              "    centers = rng.normal(0.0, 3.0, size=(c, p))\n"
+              "    z = centers[rng.integers(0, c, n)] + rng.normal(size=(n, p))\n"
+              "    m = kmeans(z, c, seed=1)\n"
+              "    print(hashlib.sha256(m.centers.tobytes()"
               " + m.assignments.tobytes()).hexdigest(), repr(m.objective))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cluster.__file__)))
     digests = []
