@@ -8,6 +8,7 @@ them (and their fused concatenation) toward a common representation. The
 trained classifier's verdict on the fused sample becomes the shared label.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,8 @@ def _log_terms(f_i, f_j, ell):
     with its gradients w.r.t. the unclamped f_i and f_j (zero where clamped)."""
     p_i, in_i = clamp_prob_masked(f_i)
     p_j, in_j = clamp_prob_masked(f_j)
-    value = -ell * (np.log(p_i).sum() + np.log(1.0 - p_j).sum())
+    value = -ell * (np.add.reduce(np.log(p_i), None)
+                    + np.add.reduce(np.log(1.0 - p_j), None))
     return value, -ell / p_i * in_i, ell / (1.0 - p_j) * in_j
 
 
@@ -74,9 +76,10 @@ def _hinge(e_i, e_fused, e_j, margin):
     over rows, with its gradients w.r.t. e_i, e_fused and e_j."""
     diff_i = e_fused - e_i
     diff_j = e_fused - e_j
-    s = margin + (diff_i ** 2).sum(axis=1) - (diff_j ** 2).sum(axis=1)
+    s = (margin + np.add.reduce(diff_i ** 2, 1)
+         - np.add.reduce(diff_j ** 2, 1))
     active = (s > 0.0).astype(float)[:, None]
-    return (np.maximum(0.0, s).sum(), active * (-2.0) * diff_i,
+    return (np.add.reduce(np.maximum(0.0, s), None), active * (-2.0) * diff_i,
             active * 2.0 * (diff_i - diff_j), active * 2.0 * diff_j)
 
 
@@ -228,7 +231,7 @@ def _embed(model, stacked):
     return e, [(head, c) for head, (_, c) in zip(heads, head_out)], c_trunk
 
 
-def _batch_losses_and_grads(model, stacked, embedder=True):
+def _batch_losses_and_grads(model, stacked, embedder=True, out=None):
     """Both loss values and the gradients of J = alpha*L_sim - beta*L_adv.
 
     ``stacked`` comes from ``_stack_batch``. Returns (L_sim, L_adv, embedder
@@ -238,6 +241,11 @@ def _batch_losses_and_grads(model, stacked, embedder=True):
     run one forward (and backward) over all their rows. With
     ``embedder=False`` the trunk and head backward passes are skipped and
     the embedder gradient is None.
+
+    The embedder gradient is written into ``out`` (a vector of the
+    embedder's size, whatever it holds) when it is given, else into a fresh
+    vector: backward overwrites the trunk's slice and that of every head
+    with rows, and the slices of heads without rows are zeroed.
     """
     b = len(stacked.at_i)
     alpha, beta, ell, m = (model.sim_weight, model.adv_weight,
@@ -260,7 +268,11 @@ def _batch_losses_and_grads(model, stacked, embedder=True):
     g_e[stacked.at_i] = (alpha * dsim_ei - beta * dadv_e[:b]) / b
     g_e[stacked.at_j] = (alpha * dsim_ej - beta * dadv_e[b:]) / b
     g_e[stacked.at_f] = alpha * dsim_ef / b
-    g_embed = np.zeros(model.embed_params.size)
+    g_embed = np.empty(model.embed_params.size) if out is None else out
+    with_rows = {key for key, _ in stacked.heads}
+    for key, sl in model.embed_slices.items():
+        if key != "trunk" and key not in with_rows:
+            g_embed[sl] = 0.0
     _, dh = model.trunk.backward(c_trunk, g_e,
                                  g_embed[model.embed_slices["trunk"]])
     start = 0
@@ -283,12 +295,14 @@ def minimax_epoch(model, dataset, pairs, batch_size, t_steps, rng):
         return {"sim": 0.0, "adv": 0.0}
     order = rng.permutation(len(pairs))
     sim_vals, adv_vals = [], []
+    embed_grads = np.empty(model.embed_params.size)
     for start in range(0, len(pairs), batch_size):
         stacked = _stack_batch(
             dataset, [pairs[idx] for idx in order[start:start + batch_size]])
         for _ in range(t_steps):
-            l_sim, l_adv, embed_grads, _ = _batch_losses_and_grads(model, stacked)
-            if not np.isfinite(l_sim) or not np.isfinite(l_adv):
+            l_sim, l_adv, _, _ = _batch_losses_and_grads(model, stacked,
+                                                         out=embed_grads)
+            if not math.isfinite(l_sim) or not math.isfinite(l_adv):
                 raise NumericalError(
                     f"non-finite loss in batch starting at pair {start}"
                 )

@@ -163,15 +163,16 @@ def mlp_backward(params, spec, cache, grad_out, out=None, *,
         if param_grad:
             (w0, w1, shape), (b0, b1, _) = spec.layout[2 * layer:2 * layer + 2]
             np.matmul(cache[layer].T, delta, out=out[w0:w1].reshape(shape))
-            np.sum(delta, axis=0, out=out[b0:b1])
+            np.add.reduce(delta, 0, out=out[b0:b1])
         if layer or input_grad:
             delta = delta @ params.weights[layer].T
     return out, delta if input_grad else None
 
 
 def clamp_prob(p):
-    """Keep probabilities away from 0/1 before taking logs."""
-    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    """Keep probabilities away from 0/1 before taking logs: the values of
+    ``np.clip(p, PROB_EPS, 1 - PROB_EPS)``, NaN kept, without its wrapper."""
+    return np.minimum(np.maximum(p, PROB_EPS), 1.0 - PROB_EPS)
 
 
 def clamp_prob_masked(p):

@@ -74,19 +74,21 @@ def ae_loss_closed(view_nets, x):
     z, cache_e = view_nets.encoder.forward(x)
     x_hat, cache_g = view_nets.generator.forward(z)
     resid = x_hat - x
-    loss = float((resid ** 2).sum() / b)
+    loss = float(np.add.reduce(resid ** 2, None) / b)
     d_xhat = 2.0 * resid / b
     g_gen, d_z = view_nets.generator.backward(cache_g, d_xhat)
     g_enc, _ = view_nets.encoder.backward(cache_e, d_z, input_grad=False)
     return loss, g_enc, g_gen
 
 
-def ae_loss_open(view_nets, x, z_common, n_views):
+def ae_loss_open(view_nets, x, z_common, n_views, encoded=None):
     """Open-state reconstruction: the view reconstructs itself, reconstructs
     from the common subspace, and keeps its latent near the common one.
 
     ||x - G(E(x))||^2 + (1/V)(||x - G(Z)||^2 + ||E(x) - Z||^2), batch mean.
-    Z rows are treated as constants for this step.
+    Z rows are treated as constants for this step. ``encoded`` is the
+    encoder's (output, cache) on ``x`` when the caller already has it, which
+    spares the encoder pass here.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z_common = np.atleast_2d(np.asarray(z_common, dtype=float))
@@ -94,14 +96,15 @@ def ae_loss_open(view_nets, x, z_common, n_views):
         raise ShapeError("common-subspace rows do not match the batch")
     b = x.shape[0]
     lam = 1.0 / n_views
-    z_i, cache_e = view_nets.encoder.forward(x)
+    z_i, cache_e = view_nets.encoder.forward(x) if encoded is None else encoded
     x_hat, cache_g1 = view_nets.generator.forward(z_i)
     x_tilde, cache_g2 = view_nets.generator.forward(z_common)
     r_hat = x_hat - x
     r_tilde = x_tilde - x
     r_z = z_i - z_common
-    loss = float(((r_hat ** 2).sum()
-                  + lam * ((r_tilde ** 2).sum() + (r_z ** 2).sum())) / b)
+    loss = float((np.add.reduce(r_hat ** 2, None)
+                  + lam * (np.add.reduce(r_tilde ** 2, None)
+                           + np.add.reduce(r_z ** 2, None))) / b)
     g_gen, d_z = view_nets.generator.backward(cache_g1, 2.0 * r_hat / b)
     g_gen += view_nets.generator.backward(cache_g2, 2.0 * lam * r_tilde / b,
                                           input_grad=False)[0]
@@ -131,28 +134,37 @@ def adversarial_losses(view_nets, x, fake):
     b_fake = fake.shape[0]
     p_real, in_real, cache_real = _log_d(view_nets, x)
     p_fake, in_fake, cache_fake = _log_d(view_nets, fake)
-    disc_value = float(np.log(p_real).mean() + np.log(1.0 - p_fake).mean())
-    gen_value = float(np.log(1.0 - p_fake).mean())
+    q_fake = 1.0 - p_fake
+    log_fake = np.log(q_fake)
+    # the means as ndarray.mean takes them, without its wrapper
+    mean_fake = np.add.reduce(log_fake, None) / log_fake.size
+    disc_value = float(np.add.reduce(np.log(p_real), None) / p_real.size
+                       + mean_fake)
+    gen_value = float(mean_fake)
     # descend -disc_value
     disc_grads, _ = view_nets.discriminator.backward(
         cache_real, -in_real / p_real / b_real, input_grad=False
     )
+    d_fake = in_fake / q_fake / b_fake
     disc_grads += view_nets.discriminator.backward(
-        cache_fake, in_fake / (1.0 - p_fake) / b_fake, input_grad=False
+        cache_fake, d_fake, input_grad=False
     )[0]
-    # generator descends gen_value => gradient w.r.t. fake inputs
+    # generator descends gen_value => gradient w.r.t. fake inputs; negating
+    # the quotient is exact, so this is bitwise -in_fake / q_fake / b_fake
     _, d_fake_for_gen = view_nets.discriminator.backward(
-        cache_fake, -in_fake / (1.0 - p_fake) / b_fake, param_grad=False
+        cache_fake, -d_fake, param_grad=False
     )
     return disc_value, disc_grads, gen_value, d_fake_for_gen
 
 
 def fuse_subspace(per_view_z):
-    """Element-wise mean of the per-view latents."""
+    """Element-wise mean of the per-view latents: their sum in view order,
+    divided by the view count, which is how ``np.mean`` over a stack of
+    them adds and divides."""
     shapes = {z.shape for z in per_view_z}
     if len(shapes) != 1:
         raise ShapeError(f"latent shapes differ across views: {sorted(shapes)}")
-    return np.mean(np.stack(list(per_view_z)), axis=0)
+    return sum(per_view_z[1:], per_view_z[0]) / len(per_view_z)
 
 
 @dataclass
@@ -170,7 +182,7 @@ class _ViewOptimizers:
 
 
 def _check_finite(value, what, epoch, batch):
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalError(f"non-finite {what} at epoch {epoch}, batch {batch}")
 
 
@@ -230,16 +242,19 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
             xs = [view[idx] for view in dataset.views]
             if gate_open:
                 # encoder v changes only in view v's own update below, so
-                # each view is encoded once per batch: views after the first
-                # up front, every view again right after its update
-                z_batch = [None] + [model.views[v].encoder.forward(xs[v])[0]
+                # views after the first are encoded once up front, for the
+                # fusion and for their own update, and every view again
+                # right after its update: 2V encoder passes per batch
+                encoded = [None] + [model.views[v].encoder.forward(xs[v])
                                     for v in range(1, n_views)]
+                z_batch = [None] + [z for z, _ in encoded[1:]]
             for i in range(n_views):
                 vn = model.views[i]
                 opt = opts[i]
                 x = xs[i]
                 if gate_open:
-                    loss, g_enc, g_gen = ae_loss_open(vn, x, z_full[idx], n_views)
+                    loss, g_enc, g_gen = ae_loss_open(vn, x, z_full[idx],
+                                                      n_views, encoded[i])
                 else:
                     loss, g_enc, g_gen = ae_loss_closed(vn, x)
                 _check_finite(loss, "reconstruction loss", epoch, n_batches)

@@ -234,6 +234,18 @@ def _prepare(cfg):
     return Prepared(dataset, clusters, partitions, raw_labels)
 
 
+@contextmanager
+def _sized_by(*keys):
+    """Report numpy refusing an allocation in the block (more memory than
+    there is, or more elements than an array may hold) as a one-line
+    ConfigError naming ``keys``, the config values that size it."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"{' or '.join(keys)} too large to allocate: "
+                          f"{exc}") from None
+
+
 def _reconcile(cfg, prep):
     """Stage 2 (AIS+CS, FULL): train the reconciler on the inconsistent pairs
     and let it settle every cross-view disagreement."""
@@ -242,17 +254,18 @@ def _reconcile(cfg, prep):
         return Reconciled(prep.raw_labels)
     dataset = prep.dataset
     rc = cfg.reconcile
-    model = dif.build_reconciler(
-        [v.shape[1] for v in dataset.views],
-        np.random.default_rng(cfg.seed + 1),
-        embed_width=rc["embed_width"],
-        head_width=rc["head_width"],
-        margin=rc["margin"],
-        pseudo_label=rc["pseudo_label"],
-        sim_weight=rc["sim_weight"],
-        adv_weight=rc["adv_weight"],
-        learning_rate=rc["learning_rate"],
-    )
+    with _sized_by("reconcile.head_width", "reconcile.embed_width"):
+        model = dif.build_reconciler(
+            [v.shape[1] for v in dataset.views],
+            np.random.default_rng(cfg.seed + 1),
+            embed_width=rc["embed_width"],
+            head_width=rc["head_width"],
+            margin=rc["margin"],
+            pseudo_label=rc["pseudo_label"],
+            sim_weight=rc["sim_weight"],
+            adv_weight=rc["adv_weight"],
+            learning_rate=rc["learning_rate"],
+        )
     dif.train_reconciler(
         model, dataset, pairs,
         epochs=rc["epochs"],
@@ -272,8 +285,9 @@ def _pick_best_view(dataset, clusters, seed, restarts, max_iter):
         return 0
     best, best_acc = 0, -1.0
     for i, view in enumerate(dataset.views):
-        model = clu.kmeans(view, clusters, max_iter=max_iter, seed=seed,
-                           restarts=restarts)
+        with _sized_by("clustering.restarts"):
+            model = clu.kmeans(view, clusters, max_iter=max_iter, seed=seed,
+                               restarts=restarts)
         acc = clu.accuracy(model.assignments, dataset.labels)
         if acc > best_acc:
             best, best_acc = i, acc
@@ -328,12 +342,13 @@ def _train(cfg, dataset, weights):
         initial_fraction=nw["initial_fraction"],
         full_inclusion_epoch_fraction=nw["full_inclusion_fraction"],
     )
-    model = net.build_model(
-        [v.shape[1] for v in dataset.views],
-        nw["latent_width"],
-        np.random.default_rng(cfg.seed + 3),
-        hidden=nw["hidden"],
-    )
+    with _sized_by("network.latent_width", "network.hidden"):
+        model = net.build_model(
+            [v.shape[1] for v in dataset.views],
+            nw["latent_width"],
+            np.random.default_rng(cfg.seed + 3),
+            hidden=nw["hidden"],
+        )
     result = net.train(
         model, dataset, weights, schedule,
         batch_size=nw["batch_size"],
@@ -347,12 +362,13 @@ def _train(cfg, dataset, weights):
 
 def _cluster(cfg, z, clusters):
     """Stage 5: k-means on the common subspace."""
-    return clu.kmeans(
-        z, clusters,
-        max_iter=cfg.clustering["max_iter"],
-        seed=cfg.seed + 5,
-        restarts=cfg.clustering["restarts"],
-    )
+    with _sized_by("clustering.restarts"):
+        return clu.kmeans(
+            z, clusters,
+            max_iter=cfg.clustering["max_iter"],
+            seed=cfg.seed + 5,
+            restarts=cfg.clustering["restarts"],
+        )
 
 
 def _write(cfg, model, z, km, labels):

@@ -68,6 +68,33 @@ def test_every_invalid_value_exits_2_naming_its_key(manifest, section, key, data
         assert os.listdir(tmp) == ["bad.cfg"]
 
 
+# 10**11 is a size numpy refuses at once, being more memory than any machine
+# has or more elements than an array may hold; a size it might try to page
+# in has no place in a test
+@pytest.mark.parametrize("section,key,variant", [
+    ("network", "latent_width", "NONE"),
+    ("reconcile", "head_width", "FULL"),
+    ("clustering", "restarts", "NONE"),
+])
+def test_oversized_key_exits_2_naming_it(manifest, section, key, variant):
+    with tempfile.TemporaryDirectory() as tmp:
+        sections = {"experiment": {"manifest": manifest, "variant": variant,
+                                   "out": os.path.join(tmp, "out")},
+                    "reconcile": {"epochs": 1}, "network": {"epochs": 2}}
+        sections.setdefault(section, {})[key] = 10 ** 11
+        cfg = os.path.join(tmp, "big.cfg")
+        with open(cfg, "w") as fh:
+            for name, keys in sections.items():
+                fh.write(f"[{name}]\n")
+                fh.writelines(f"{k} = {v}\n" for k, v in keys.items())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["run", "--config", cfg]) == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+        assert f"{section}.{key}" in lines[0], lines
+
+
 def test_readme_config_reference_matches_schema():
     with open(README) as fh:
         text = fh.read()

@@ -502,6 +502,21 @@ def test_stacked_pass_matches_per_group_loop(views):
     _assert_matches_reference(model, ds, batch)
 
 
+def test_embedder_gradient_overwrites_a_given_buffer():
+    ds, _, pairs = many_view_setup(3)
+    model = build_reconciler([v.shape[1] for v in ds.views],
+                             np.random.default_rng(13))
+    # group (0, 1) only: view 2 and pair heads (0, 2), (1, 2) have no rows
+    stacked = _stack_batch(ds, [p for p in pairs if p[1:] == (0, 1)][:6])
+    assert {key for key, _ in stacked.heads} == {0, 1, (0, 1)}
+    want = _batch_losses_and_grads(model, stacked)
+    buf = np.full(model.embed_params.size, np.nan)
+    got = _batch_losses_and_grads(model, stacked, out=buf)
+    assert got[2] is buf and buf.tobytes() == want[2].tobytes()
+    assert got[:2] == want[:2] and got[3].tobytes() == want[3].tobytes()
+    assert (buf[model.embed_slices[(0, 2)]] == 0.0).all()
+
+
 def test_stacked_pass_leaves_heads_without_rows_at_zero():
     ds, _, pairs = many_view_setup(4)
     model = build_reconciler([v.shape[1] for v in ds.views],

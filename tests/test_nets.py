@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mvclust.errors import NumericalError, ShapeError
-from mvclust.nets import (ADAM_CHUNK, AdamState, MlpParams, MlpSpec, adam_step,
-                          init_mlp, make_net, mlp_backward, mlp_forward)
+from mvclust.nets import (ADAM_CHUNK, PROB_EPS, AdamState, MlpParams, MlpSpec,
+                          adam_step, clamp_prob, init_mlp, make_net,
+                          mlp_backward, mlp_forward)
 
 from conftest import assert_grads_close, numerical_grads, rel_err
 
@@ -337,6 +338,17 @@ def test_flagged_backward_returns_the_full_calls_part_bytewise(act, prefilled):
     assert net.backward(cache, grad_out)[0].tobytes() == full_params.tobytes()
     if act == "relu":                               # the mask is not all ones
         assert (cache[1] <= 0.0).any()
+
+
+def test_clamp_prob_is_bitwise_np_clip():
+    p = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, PROB_EPS,
+                  1.0 - PROB_EPS, np.nextafter(PROB_EPS, 0.0),
+                  np.nextafter(1.0 - PROB_EPS, 2.0), 0.5, -3.0, 7.0])
+    p = np.concatenate([p, np.random.default_rng(0).uniform(-0.1, 1.1, 50)])
+    want = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    for shape in ((p.size,), (p.size, 1)):
+        assert clamp_prob(p.reshape(shape)).tobytes() == want.tobytes()
+    assert np.isnan(clamp_prob(np.nan))
 
 
 def test_seeded_init_is_deterministic():

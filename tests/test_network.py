@@ -4,7 +4,7 @@ import pytest
 from mvclust import nets
 from mvclust.data import MultiViewDataset, make_synthetic, load_manifest
 from mvclust.errors import ShapeError
-from mvclust.nets import MlpParams, MlpSpec, Net, adam_step
+from mvclust.nets import MlpParams, MlpSpec, Net, adam_step, clamp_prob
 from mvclust.network import (GOLDEN_SECTION, ViewNets, _ViewOptimizers,
                              _gan_round, adversarial_losses, ae_loss_closed,
                              ae_loss_open, build_model, fuse_subspace, gate,
@@ -203,6 +203,37 @@ def test_fuse_subspace():
         fuse_subspace([a, np.zeros((2, 2))])
 
 
+@pytest.mark.parametrize("n_views", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (64, 10), (3000, 10)])
+def test_fuse_subspace_is_bitwise_mean_of_stack(n_views, shape):
+    rng = np.random.default_rng(n_views)
+    zs = [rng.normal(scale=10.0 ** rng.integers(-3, 4), size=shape)
+          for _ in range(n_views)]
+    want = np.mean(np.stack(zs), axis=0)
+    assert fuse_subspace(zs).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("b_real,b_fake,scale", [(4, 3, 1.0), (64, 64, 1.0),
+                                                 (16, 5, 30.0)])
+def test_adversarial_values_and_fake_gradient_are_bitwise_references(
+        b_real, b_fake, scale):
+    # scale 30 saturates the discriminator, so some outputs are clamped
+    rng = np.random.default_rng(b_real + b_fake)
+    vn = build_model([6], 2, rng, hidden=(5,), disc_hidden=(8, 4)).views[0]
+    x = scale * rng.normal(size=(b_real, 6))
+    fake = scale * rng.normal(size=(b_fake, 6))
+    d_val, _, g_val, d_fake = adversarial_losses(vn, x, fake)
+    p_real = clamp_prob(vn.discriminator.forward(x)[0])
+    p_raw, cache = vn.discriminator.forward(fake)
+    p_fake = clamp_prob(p_raw)
+    assert d_val == float(np.log(p_real).mean() + np.log(1.0 - p_fake).mean())
+    assert g_val == float(np.log(1.0 - p_fake).mean())
+    in_fake = ((p_raw > 1e-7) & (p_raw < 1.0 - 1e-7)).astype(float)
+    _, want = vn.discriminator.backward(
+        cache, -in_fake / (1.0 - p_fake) / b_fake, param_grad=False)
+    assert d_fake.tobytes() == want.tobytes()
+
+
 def blob_dataset(tmp_path, n=200, noise=0.1, seed=0):
     man = make_synthetic(str(tmp_path), 3, n, views=2, noise=noise, seed=seed)
     return load_manifest(man)
@@ -327,7 +358,7 @@ def test_open_gate_cache_matches_reencoding_loop():
             assert net.params.flat.tobytes() == ref_net.params.flat.tobytes()
 
 
-def test_open_batch_encodes_each_view_three_times_less_one():
+def test_open_batch_encodes_each_view_twice():
     ds, _ = three_view_setup()
     model = build_model([v.shape[1] for v in ds.views], 3,
                         np.random.default_rng(0), hidden=(6,))
@@ -351,11 +382,13 @@ def test_open_batch_encodes_each_view_three_times_less_one():
         assert result.log_rows[0]["mask_size"] == ds.n - unselected
         batches = -(-result.log_rows[0]["mask_size"] // 16)
         assert batches == 3
-        # one fusion of the selected set per view and 3V - 1 encoder passes
-        # per open batch; the export-time encode of every row, once per
-        # view, runs only when some rows were never selected
+        # one fusion of the selected set per view and 2V encoder passes per
+        # open batch (views after the first up front, whose result their
+        # update reuses, and every view after its update); the export-time
+        # encode of every row, once per view, runs only when some rows were
+        # never selected
         export = n_views if unselected else 0
-        assert len(calls) == n_views + batches * (3 * n_views - 1) + export
+        assert len(calls) == n_views + batches * 2 * n_views + export
         fused = fuse_subspace([vn.encoder.forward(view)[0]
                                for vn, view in zip(model.views, ds.views)])
         assert result.z[:unselected].tobytes() == fused[:unselected].tobytes()
