@@ -9,10 +9,9 @@ common subspace, and k-means with ACC/NMI/Purity evaluation.
 from .cluster import ClusterModel, MetricReport, accuracy, evaluate, kmeans, nmi, purity
 from .data import (MultiViewDataset, NeighborPartition, build_partition,
                    load_manifest, load_views, make_synthetic, normalize_view)
-from .difficulty import (ReconcilerModel, adv_loss, assign_difficulty,
+from .difficulty import (ReconcilerModel, assign_difficulty,
                          assignment_from_partitions, build_reconciler,
-                         collect_inconsistent, resolve_labels, sim_loss,
-                         train_reconciler)
+                         collect_inconsistent, resolve_labels, train_reconciler)
 from .errors import (ConfigError, DataError, MvclustError, NumericalError,
                      ShapeError)
 from .nets import (AdamState, MlpParams, MlpSpec, adam_step, init_mlp,
@@ -21,7 +20,7 @@ from .network import (GOLDEN_SECTION, MultiViewModel,
                       ae_loss_closed, ae_loss_open, adversarial_losses,
                       build_model, fuse_subspace, gate, train)
 from .pipeline import ExperimentConfig, RunReport, ablate, export_embeddings, load_config, run
-from .sampling import (PaceSchedule, compute_probabilities, easy_prob,
-                       hard_prob, pace_value, selection_mask)
+from .sampling import (PaceSchedule, compute_probabilities, pace_value,
+                       selection_mask)
 
 __version__ = "0.1.0"

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .files import replacing, writing
 
 
 @dataclass
@@ -207,10 +208,12 @@ def read_manifest(path):
         labels = digits_labels.csv
         normalize = zscore
 
-    Paths are resolved relative to the manifest location.
+    Paths are resolved relative to the manifest location. ``view`` may repeat;
+    ``labels`` and ``normalize`` may appear once each.
     """
     base = os.path.dirname(os.path.abspath(path))
     views, labels, normalize = [], None, "zscore"
+    seen = set()
     for r, line in enumerate(_read_text(path).split("\n")):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -218,6 +221,9 @@ def read_manifest(path):
         if "=" not in line:
             raise DataError(f"{path}: line {r + 1} is not 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key != "view" and key in seen:
+            raise DataError(f"{path}: line {r + 1} repeats the {key!r} key")
+        seen.add(key)
         if key == "view":
             views.append(os.path.join(base, value))
         elif key == "labels":
@@ -295,17 +301,18 @@ def make_synthetic(out_dir, clusters, samples, views=2, noise=0.1, seed=0,
     if not all(np.isfinite(data).all() for data in tables):
         raise DataError(f"noise {noise} with outlier_scale {outlier_scale} "
                         "overflows the views")
-    os.makedirs(out_dir, exist_ok=True)
-    view_files = []
-    for v, data in enumerate(tables):
-        fname = f"view{v}.csv"
-        np.savetxt(os.path.join(out_dir, fname), data, delimiter=",", fmt="%.10f")
-        view_files.append(fname)
-    np.savetxt(os.path.join(out_dir, "labels.csv"), labels, fmt="%d")
+    view_files = [f"view{v}.csv" for v in range(len(tables))]
     manifest = os.path.join(out_dir, "manifest.txt")
-    with open(manifest, "w") as fh:
-        for fname in view_files:
-            fh.write(f"view = {fname}\n")
-        fh.write("labels = labels.csv\n")
-        fh.write("normalize = zscore\n")
+    with writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        for fname, data in zip(view_files, tables):
+            with replacing(os.path.join(out_dir, fname)) as fh:
+                np.savetxt(fh, data, delimiter=",", fmt="%.10f")
+        with replacing(os.path.join(out_dir, "labels.csv")) as fh:
+            np.savetxt(fh, labels, fmt="%d")
+        with replacing(manifest) as fh:
+            for fname in view_files:
+                fh.write(f"view = {fname}\n")
+            fh.write("labels = labels.csv\n")
+            fh.write("normalize = zscore\n")
     return manifest

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ShapeError
+from .errors import DataError, NumericalError
 from .files import replacing
 from .nets import (AdamState, MlpSpec, Net, adam_step, clamp_prob,
                    clamp_prob_masked, init_mlp, make_net)
@@ -62,7 +62,8 @@ def collect_inconsistent(labels):
 
 
 def _log_terms(f_i, f_j, ell):
-    """-ell * (sum log f_i + sum log(1 - f_j)) over clamped probabilities,
+    """The binary classification loss L_adv over inconsistent pairs, summed:
+    -ell * (sum log f_i + sum log(1 - f_j)) over clamped probabilities,
     with its gradients w.r.t. the unclamped f_i and f_j (zero where clamped)."""
     p_i, in_i = clamp_prob_masked(f_i)
     p_j, in_j = clamp_prob_masked(f_j)
@@ -72,8 +73,9 @@ def _log_terms(f_i, f_j, ell):
 
 
 def _hinge(e_i, e_fused, e_j, margin):
-    """Triplet hinge max(0, margin + |e_f - e_i|^2 - |e_f - e_j|^2) summed
-    over rows, with its gradients w.r.t. e_i, e_fused and e_j."""
+    """The feature-similarity loss L_sim, summed over rows: the triplet hinge
+    max(0, margin + |e_f - e_i|^2 - |e_f - e_j|^2), with its gradients w.r.t.
+    e_i, e_fused and e_j."""
     diff_i = e_fused - e_i
     diff_j = e_fused - e_j
     s = (margin + np.add.reduce(diff_i ** 2, 1)
@@ -81,33 +83,6 @@ def _hinge(e_i, e_fused, e_j, margin):
     active = (s > 0.0).astype(float)[:, None]
     return (np.add.reduce(np.maximum(0.0, s), None), active * (-2.0) * diff_i,
             active * 2.0 * (diff_i - diff_j), active * 2.0 * diff_j)
-
-
-def adv_loss(f_i, f_j, ell):
-    """Binary classification loss over inconsistent pairs.
-
-    -(1/K) * sum ell * (log f_i + log(1 - f_j)); 0 for an empty pair set.
-    """
-    f_i = np.asarray(f_i, dtype=float).ravel()
-    f_j = np.asarray(f_j, dtype=float).ravel()
-    if f_i.shape != f_j.shape:
-        raise ShapeError("classifier output vectors differ in length")
-    if f_i.size == 0:
-        return 0.0
-    return float(_log_terms(f_i, f_j, ell)[0] / f_i.size)
-
-
-def sim_loss(e_i, e_fused, e_j, margin):
-    """Triplet hinge: the fused embedding should sit no closer to the first
-    member than margin-past-the-second. Mean over rows."""
-    e_i = np.atleast_2d(np.asarray(e_i, dtype=float))
-    e_fused = np.atleast_2d(np.asarray(e_fused, dtype=float))
-    e_j = np.atleast_2d(np.asarray(e_j, dtype=float))
-    if not (e_i.shape == e_fused.shape == e_j.shape):
-        raise ShapeError("triplet embeddings must share one shape")
-    if margin < 0:
-        raise ShapeError(f"margin must be >= 0, got {margin}")
-    return float(_hinge(e_i, e_fused, e_j, margin)[0] / e_i.shape[0])
 
 
 @dataclass

@@ -3,6 +3,8 @@
 import os
 from contextlib import contextmanager
 
+from .errors import DataError
+
 
 @contextmanager
 def replacing(path, mode="w"):
@@ -25,3 +27,14 @@ def replacing(path, mode="w"):
         if isinstance(exc, OSError):
             exc.filename, exc.filename2 = path, None
         raise
+
+
+@contextmanager
+def writing(path):
+    """Turn an OSError from the file writes in the block into a one-line
+    DataError naming the file (``path`` if the error names none)."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(
+            f"cannot write {exc.filename or path}: {exc.strerror}") from None

@@ -33,7 +33,7 @@ from . import difficulty as dif
 from . import network as net
 from . import sampling as smp
 from .errors import ConfigError, DataError
-from .files import replacing
+from .files import replacing, writing
 
 log = logging.getLogger(__name__)
 
@@ -384,17 +384,6 @@ def _write(cfg, model, z, km, labels):
     return metrics
 
 
-@contextmanager
-def _writing(path):
-    """Turn an OSError from the file writes in the block into a one-line
-    DataError naming the file (``path`` if the error names none)."""
-    try:
-        yield
-    except OSError as exc:
-        raise DataError(
-            f"cannot write {exc.filename or path}: {exc.strerror}") from None
-
-
 def _make_out_dir(path):
     try:
         os.makedirs(path, exist_ok=True)
@@ -415,7 +404,7 @@ def run(cfg, shared=None):
         shared = _Shared(cfg)
     prep = shared.prepared
     _make_out_dir(cfg.out)
-    with _writing(cfg.out):
+    with writing(cfg.out):
         if cfg.variant in _RECONCILED:
             rec = shared.reconciled
             if rec.n_pairs:
@@ -478,7 +467,7 @@ def export_embeddings(run_dir, dest=None):
     if z.ndim != 2 or pred.shape != (len(z),):
         raise malformed
     dest = dest or os.path.join(run_dir, "embeddings.csv")
-    with _writing(dest), replacing(dest) as fh:
+    with writing(dest), replacing(dest) as fh:
         fh.write(",".join(f"z{i}" for i in range(z.shape[1])) + ",cluster\n")
         for row, c in zip(z, pred):
             fh.write(",".join(f"{v:.12g}" for v in row) + f",{c}\n")
@@ -505,7 +494,7 @@ def ablate(cfg, variants=VARIANTS):
         reports[variant] = run(replace(cfg, variant=variant, out=out), shared)
     summary = os.path.join(base_out, "ablation_summary.txt")
     _make_out_dir(base_out)
-    with _writing(summary), replacing(summary) as fh:
+    with writing(summary), replacing(summary) as fh:
         fh.write(format_ablation(reports))
     return reports
 

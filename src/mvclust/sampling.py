@@ -16,35 +16,17 @@ from .errors import DataError, NumericalError
 log = logging.getLogger(__name__)
 
 
-def easy_prob(d, d_max, positive):
-    """Sampling probability of an easy sample (d and positive: scalars or
-    arrays of one shape).
-
-    Negative set: d / d_max (farther is easier). Positive set: 1 - d / d_max
-    (closer is easier). d_max is the maximum anchor distance over the
-    negative set.
-    """
-    if d_max <= 0.0:
-        raise NumericalError("d_max must be positive (degenerate geometry)")
-    ratio = d / d_max
-    return np.where(positive, 1.0 - ratio, ratio)[()]
-
-
-def hard_prob(d, d_med, sum_d):
-    """Sampling probability of a difficult sample: |d - median| / sum of all
-    difficult distances."""
-    if sum_d <= 0.0:
-        raise NumericalError("sum of difficult distances must be positive")
-    return abs(d - d_med) / sum_d
-
-
 def compute_probabilities(labels, partitions):
     """Probabilities for every sample in every view: the (V, n) matrix.
 
     Each view's row reads only that view's row of the (V, n) labels and its
-    partition. If a view's geometry leaves some difficult probability at or
-    above the smallest easy probability, those values are clamped just below
-    it so easy-first ordering survives.
+    partition. An easy sample gets d / d_max in the negative set (farther is
+    easier) and 1 - d / d_max in the positive set (closer is easier), d_max
+    being the largest anchor distance over the negative set. A difficult
+    sample gets |d - median| / sum over the view's difficult distances, and
+    the anchor gets 1. If a view's geometry leaves some difficult probability
+    at or above the smallest easy probability, those values are clamped just
+    below it so easy-first ordering survives.
     """
     per_view = np.zeros(labels.shape)
     for v, part in enumerate(partitions):
@@ -61,7 +43,8 @@ def compute_probabilities(labels, partitions):
         hard_idx = np.flatnonzero(hard)   # ascending, as the median and sum read them
         positive = np.zeros(part.n, dtype=bool)
         positive[part.positive] = True
-        probs[easy] = easy_prob(dist[easy], d_max, positive[easy])
+        ratio = dist[easy] / d_max
+        probs[easy] = np.where(positive[easy], 1.0 - ratio, ratio)
         if hard_idx.size:
             hard_d = dist[hard_idx]
             d_med = float(np.median(hard_d))
@@ -70,7 +53,7 @@ def compute_probabilities(labels, partitions):
                 raise NumericalError(
                     f"view {v}: difficult samples all at distance 0"
                 )
-            probs[hard_idx] = hard_prob(hard_d, d_med, sum_d)
+            probs[hard_idx] = abs(hard_d - d_med) / sum_d
         probs[part.anchor_index] = 1.0  # the anchor is maximally unambiguous
         if easy.any() and hard_idx.size:
             min_easy = probs[easy].min()

@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from mvclust.cluster import accuracy, evaluate, kmeans, nmi, purity
-from mvclust.data import MultiViewDataset, build_partition, make_synthetic
-from mvclust.difficulty import (_batch_losses_and_grads, _stack_batch,
-                                adv_loss, assign_difficulty, build_reconciler,
-                                sim_loss)
+from mvclust.data import (MultiViewDataset, NeighborPartition, build_partition,
+                          make_synthetic)
+from mvclust.difficulty import (_batch_losses_and_grads, _hinge, _log_terms,
+                                _stack_batch, assign_difficulty,
+                                build_reconciler)
 from mvclust.network import (GOLDEN_SECTION, adversarial_losses,
                              ae_loss_closed, ae_loss_open, build_model, gate)
 from mvclust.pipeline import export_embeddings, load_config, run
-from mvclust.sampling import (PaceSchedule, compute_probabilities, easy_prob,
-                              hard_prob, pace_value)
+from mvclust.sampling import PaceSchedule, compute_probabilities, pace_value
 
 from conftest import embed_rows, numerical_grads, rel_err
 from test_difficulty import partition_from_distances
@@ -66,7 +66,7 @@ def _oracle_adv_loss(rng):
         ell = float(rng.uniform(0.0, 1.0))
         ref = -sum(ell * (math.log(a) + math.log(1.0 - b))
                    for a, b in zip(f_i, f_j)) / k
-        assert rel_err(adv_loss(f_i, f_j, ell), ref) < 1e-12
+        assert rel_err(_log_terms(f_i, f_j, ell)[0] / k, ref) < 1e-12
 
 
 def _oracle_sim_loss(rng):
@@ -79,15 +79,19 @@ def _oracle_sim_loss(rng):
         m = float(rng.uniform(0.0, 0.2))
         ref = sum(max(0.0, m + ((e_f[t] - e_i[t]) ** 2).sum()
                       - ((e_f[t] - e_j[t]) ** 2).sum()) for t in range(k)) / k
-        assert rel_err(sim_loss(e_i, e_f, e_j, m), ref) < 1e-12
+        assert rel_err(_hinge(e_i, e_f, e_j, m)[0] / k, ref) < 1e-12
 
 
 def _oracle_easy_prob(rng):
     for _ in range(25):
         d = float(rng.uniform(0.01, 5.0))
         d_max = float(rng.uniform(d, 10.0))
-        assert rel_err(easy_prob(d, d_max, False), d / d_max) < 1e-12
-        assert rel_err(easy_prob(d, d_max, True), 1.0 - d / d_max) < 1e-12
+        # anchor at 0, P = {d}, N = {d, d_max}, every sample easy
+        part = NeighborPartition(0, np.array([1]), np.array([2, 3]),
+                                 np.array([0.0, d, d, d_max]))
+        probs = compute_probabilities(np.zeros((1, 4), dtype=int), [part])[0]
+        assert rel_err(probs[1], 1.0 - d / d_max) < 1e-12
+        assert rel_err(probs[2], d / d_max) < 1e-12
 
 
 def _oracle_hard_prob(rng):
@@ -97,8 +101,13 @@ def _oracle_hard_prob(rng):
         med = float(np.median(d))
         total = float(d.sum())
         t = int(rng.integers(k))
-        assert rel_err(hard_prob(d[t], med, total),
-                       abs(d[t] - med) / total) < 1e-12
+        # P = the k distances, all difficult; one easy N sample beyond them
+        # has probability 1, so no difficult value is clamped
+        part = NeighborPartition(0, np.arange(1, k + 1), np.array([k + 1]),
+                                 np.concatenate([[0.0], d, [2.0 * d.max()]]))
+        labels = np.array([[0] + [1] * k + [0]])
+        probs = compute_probabilities(labels, [part])[0]
+        assert rel_err(probs[1 + t], abs(d[t] - med) / total) < 1e-12
 
 
 def _oracle_pace(rng):

@@ -160,6 +160,29 @@ def test_every_invalid_synth_flag_exits_3_and_writes_nothing(flag, data):
         assert os.listdir(tmp) == []
 
 
+def test_synth_into_an_uncreatable_out_exits_3_naming_it():
+    with tempfile.TemporaryDirectory() as tmp:
+        regular = os.path.join(tmp, "file")
+        with open(regular, "w") as fh:
+            fh.write("kept\n")
+        out = os.path.join(regular, "blobs")
+        line = _one_line_exit(["synth", "--out", out, "--samples", "40"], 3)
+        assert out in line
+        assert os.listdir(tmp) == ["file"]
+        with open(regular) as fh:
+            assert fh.read() == "kept\n"
+
+
+def test_synth_failed_write_leaves_no_partial_file():
+    with tempfile.TemporaryDirectory() as tmp:
+        os.mkdir(os.path.join(tmp, "manifest.txt"))   # a directory in its place
+        line = _one_line_exit(["synth", "--out", tmp, "--samples", "40"], 3)
+        assert os.path.join(tmp, "manifest.txt") in line
+        assert sorted(os.listdir(tmp)) == ["labels.csv", "manifest.txt",
+                                           "view0.csv", "view1.csv"]
+        assert os.listdir(os.path.join(tmp, "manifest.txt")) == []
+
+
 INT_LABEL = st.integers(-5, 5).map(str)
 # one line that is no integer label below 2**53
 BAD_LABEL = (

@@ -167,6 +167,24 @@ def test_manifest_unknown_key(tmp_path):
         read_manifest(str(p))
 
 
+@pytest.mark.parametrize("key, first, second", [
+    ("labels", "labels.csv", "other.csv"),
+    ("normalize", "minmax", "none"),
+])
+def test_manifest_repeated_key_names_its_line(tmp_path, key, first, second):
+    p = tmp_path / "m.txt"
+    p.write_text(f"view = a.csv\n{key} = {first}\nview = b.csv\n\n"
+                 f"{key} = {second}\nview = c.csv\n")
+    with pytest.raises(DataError, match=f"line 5 repeats the '{key}' key"):
+        read_manifest(str(p))
+
+
+def test_manifest_repeated_view_is_legal(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("view = a.csv\nview = a.csv\nlabels = l.csv\n")
+    assert read_manifest(str(p))["views"] == [str(tmp_path / "a.csv")] * 2
+
+
 def test_synthetic_same_seed_same_bytes(tmp_path):
     m1 = make_synthetic(str(tmp_path / "a"), 3, 60, seed=5)
     m2 = make_synthetic(str(tmp_path / "b"), 3, 60, seed=5)

@@ -1,17 +1,17 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from mvclust.data import MultiViewDataset, NeighborPartition, build_partition
-from mvclust.difficulty import (ReconcilerModel, adv_loss, assign_difficulty,
+from mvclust.difficulty import (ReconcilerModel, assign_difficulty,
                                 assignment_from_partitions, build_reconciler,
                                 classifier_agreement_rate, collect_inconsistent,
                                 export_difficulty, minimax_epoch,
-                                resolve_labels, sim_loss,
-                                similarity_direction_rate,
-                                _batch_losses_and_grads, _stack_batch,
-                                train_reconciler)
+                                resolve_labels, similarity_direction_rate,
+                                _batch_losses_and_grads, _hinge, _log_terms,
+                                _stack_batch, train_reconciler)
 from mvclust.errors import DataError
 from mvclust.nets import Net, clamp_prob
 
@@ -138,12 +138,15 @@ def test_fused_head_lands_in_embedding_width(rng):
     assert e.shape == (1, 8)
 
 
+def adv_term(f_i, f_j, ell):
+    return _log_terms(np.array(f_i), np.array(f_j), ell)[0]
+
+
 def test_adv_loss_hand_values():
-    assert abs(adv_loss([0.9], [0.1], 0.5)
+    assert abs(adv_term([0.9], [0.1], 0.5)
                - (-0.5 * (np.log(0.9) + np.log(0.9)))) < 1e-12
-    assert abs(adv_loss([0.5], [0.5], 1.0) - (-(np.log(0.5) + np.log(0.5)))) < 1e-12
-    assert adv_loss([0.3], [0.8], 0.0) == 0.0
-    assert adv_loss([], [], 0.5) == 0.0
+    assert abs(adv_term([0.5], [0.5], 1.0) - (-(np.log(0.5) + np.log(0.5)))) < 1e-12
+    assert adv_term([0.3], [0.8], 0.0) == 0.0
 
 
 def test_sim_loss_hand_values(rng):
@@ -151,11 +154,11 @@ def test_sim_loss_hand_values(rng):
     shift = rng.normal(size=(1, 4))
     shift /= np.linalg.norm(shift)
     # equidistant members: hinge = margin
-    assert abs(sim_loss(e + shift, e, e - shift, 0.05) - 0.05) < 1e-12
+    assert abs(_hinge(e + shift, e, e - shift, 0.05)[0] - 0.05) < 1e-12
     # fused embedding much closer to the first member: hinge saturates at 0
-    assert sim_loss(e + 0.01 * shift, e, e + 10 * shift, 0.05) == 0.0
+    assert _hinge(e + 0.01 * shift, e, e + 10 * shift, 0.05)[0] == 0.0
     # zero margin, identical embeddings
-    assert sim_loss(e, e, e, 0.0) == 0.0
+    assert _hinge(e, e, e, 0.0)[0] == 0.0
 
 
 def toy_inconsistent_setup(seed=3, n=40):
@@ -423,8 +426,13 @@ def test_batch_losses_are_the_loss_functions_on_one_group():
     p_i, _ = model.classifier.forward(e_i)
     p_j, _ = model.classifier.forward(e_j)
     l_sim, l_adv, _, _ = _batch_losses_and_grads(model, _stack_batch(ds, batch))
-    assert abs(l_sim - sim_loss(e_i, e_f, e_j, model.margin)) < 1e-12
-    assert abs(l_adv - adv_loss(p_i, p_j, model.pseudo_label)) < 1e-12
+    k = len(batch)
+    ref_sim = sum(max(0.0, model.margin + ((e_f[t] - e_i[t]) ** 2).sum()
+                      - ((e_f[t] - e_j[t]) ** 2).sum()) for t in range(k)) / k
+    ref_adv = -sum(model.pseudo_label * (math.log(a) + math.log(1.0 - b))
+                   for a, b in zip(p_i.ravel(), p_j.ravel())) / k
+    assert abs(l_sim - ref_sim) < 1e-12
+    assert abs(l_adv - ref_adv) < 1e-12
     assert l_sim > 0.0 and l_adv > 0.0
 
 

@@ -358,7 +358,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                         f"out = {tmp_path / 'out'}\n")
     # the same views unnormalized: their distances to the anchor overflow
     (huge / "raw.txt").write_text((huge / "manifest.txt").read_text()
-                                  + "normalize = none\n")
+                                  .replace("normalize = zscore",
+                                           "normalize = none"))
     raw_cfg = tmp_path / "raw.cfg"
     raw_cfg.write_text(f"[experiment]\nmanifest = {huge / 'raw.txt'}\n"
                        f"out = {tmp_path / 'out'}\n")

@@ -1,36 +1,59 @@
 import numpy as np
 import pytest
 
+from mvclust.data import NeighborPartition
 from mvclust.difficulty import assignment_from_partitions
 from mvclust.errors import DataError, NumericalError
-from mvclust.sampling import (PaceSchedule, compute_probabilities, easy_prob,
-                              hard_prob, pace_value, selection_mask)
+from mvclust.sampling import (PaceSchedule, compute_probabilities, pace_value,
+                              selection_mask)
 
 from test_difficulty import (partition_from_distances, random_geometry,
                              toy_inconsistent_setup)
 
 
+def hand_partition(positive, negative):
+    """The anchor (sample 0) at distance 0, then the positive and the
+    negative samples at the given anchor distances."""
+    dist = np.array([0.0, *positive, *negative])
+    k = len(positive)
+    return NeighborPartition(0, np.arange(1, k + 1), np.arange(k + 1, len(dist)),
+                             dist)
+
+
 def test_easy_prob_hand_values():
-    assert abs(easy_prob(8.0, 10.0, False) - 0.8) < 1e-12
-    assert abs(easy_prob(2.0, 10.0, True) - 0.8) < 1e-12
-    assert easy_prob(10.0, 10.0, False) == 1.0
+    # every sample easy; d_max = 10 over N
+    part = hand_partition([2.0], [8.0, 10.0])
+    probs = compute_probabilities(np.zeros((1, 4), dtype=int), [part])[0]
+    assert abs(probs[1] - 0.8) < 1e-12    # P: 1 - 2/10
+    assert abs(probs[2] - 0.8) < 1e-12    # N: 8/10
+    assert probs[3] == 1.0                # N: 10/10
 
 
 def test_easy_prob_degenerate_rejected():
-    with pytest.raises(NumericalError):
-        easy_prob(0.0, 0.0, False)
+    # view 1: every negative (and so every sample) at distance 0
+    parts = [hand_partition([1.0], [2.0, 3.0]), hand_partition([0.0], [0.0, 0.0])]
+    with pytest.raises(NumericalError,
+                       match="^view 1: all negative samples at distance 0$"):
+        compute_probabilities(np.zeros((2, 4), dtype=int), parts)
 
 
 def test_hard_prob_hand_values():
-    # difficult distances {3,4,5}: median 4, sum 12
-    assert abs(hard_prob(3.0, 4.0, 12.0) - 1.0 / 12.0) < 1e-12
-    assert hard_prob(4.0, 4.0, 12.0) == 0.0
-    assert abs(hard_prob(5.0, 4.0, 12.0) - 1.0 / 12.0) < 1e-12
+    # difficult distances {3,4,5}: median 4, sum 12; the easy N sample at 10
+    # has probability 1, so none of them is clamped
+    part = hand_partition([3.0, 4.0, 5.0], [10.0])
+    probs = compute_probabilities(np.array([[0, 1, 1, 1, 0]]), [part])[0]
+    assert abs(probs[1] - 1.0 / 12.0) < 1e-12
+    assert probs[2] == 0.0
+    assert abs(probs[3] - 1.0 / 12.0) < 1e-12
 
 
 def test_hard_prob_degenerate_rejected():
-    with pytest.raises(NumericalError):
-        hard_prob(1.0, 1.0, 0.0)
+    # view 1: both difficult samples at distance 0, its easy negative at 1
+    parts = [hand_partition([1.0, 2.0], [3.0]), hand_partition([0.0, 0.0], [1.0])]
+    labels = np.array([[0, 1, 1, 0], [0, 1, 1, 0]])
+    with pytest.raises(NumericalError,
+                       match="^view 1: difficult samples all at distance 0$"):
+        compute_probabilities(labels, parts)
 
 
 def random_premise_partition(rng):
