@@ -19,23 +19,6 @@ def _objective(z, centers, assign):
     return float(((z - centers[assign]) ** 2).sum())
 
 
-def _kmeans_pp_init(z, c, rng):
-    n = z.shape[0]
-    centers = np.empty((c, z.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = z[first]
-    d2 = ((z - centers[0]) ** 2).sum(axis=1)
-    for q in range(1, c):
-        total = d2.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[q] = z[idx]
-        d2 = np.minimum(d2, ((z - centers[q]) ** 2).sum(axis=1))
-    return centers
-
-
 def _sq_dists(z, centers):
     """(R, n) squared distances of the rows to one center per restart."""
     diff = z - centers[:, None, :]
@@ -45,12 +28,14 @@ def _sq_dists(z, centers):
 
 def _kmeans_pp_lockstep(z, c, restarts, rng):
     """k-means++ centers (R, c, p) of every restart at once, from the draws
-    ``_kmeans_pp_init`` makes restart after restart; None if a pick meets a
-    zero total, where that seeding draws an integer instead.
+    that seeding the restarts one after another makes: per restart, one
+    integer for the first center and one uniform per further pick.
 
-    ``rng.choice(n, p=d2 / total)`` is the inverse CDF of one uniform draw:
-    the count of ``cdf <= u``, with ``cdf`` the cumulative sum of ``p``
-    divided by its last entry."""
+    Each pick is ``rng.choice(n, p=w / w.sum())`` with ``w`` the squared
+    distances to the nearest center so far, or all ones for a restart whose
+    rows all sit on centers (fewer distinct rows than ``c``). That is the
+    inverse CDF of one uniform draw: the count of ``cdf <= u``, with ``cdf``
+    the cumulative sum of ``p`` divided by its last entry."""
     n = z.shape[0]
     first = np.empty(restarts, dtype=int)
     u = np.empty((restarts, c - 1))
@@ -64,10 +49,14 @@ def _kmeans_pp_lockstep(z, c, restarts, rng):
         # needed after the last pick
         near = _sq_dists(z, centers[:, q - 1])
         d2 = near if q == 1 else np.minimum(d2, near, out=d2)
+        w = d2
         total = d2.sum(axis=1, keepdims=True)
-        if not (total > 0.0).all():
-            return None
-        cdf = np.cumsum(d2 / total, axis=1)
+        zero = total <= 0.0
+        if zero.any():
+            # every row of such a restart is on a center: weight each row 1
+            w = np.where(zero, 1.0, d2)
+            total = w.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(w / total, axis=1)
         cdf /= cdf[:, -1:]
         centers[:, q] = z[(cdf <= u[:, q - 1, None]).sum(axis=1)]
     return centers
@@ -161,11 +150,11 @@ def kmeans(z, c, max_iter=100, seed=0, restarts=20):
     """Lloyd's algorithm from k-means++ seeding; keeps the best of ``restarts``
     runs (ties by restart index). The restarts run in lockstep: all are
     seeded first, from the draws one after another would make, with each
-    k-means++ pick the inverse CDF of one uniform draw; then every restart
-    that has not converged takes each Lloyd step together. Data where a
-    pick meets a zero total (fewer distinct rows than ``c``) is seeded one
-    restart at a time. A z that is not finite, or whose squared distances
-    could overflow float64, is a NumericalError."""
+    k-means++ pick the inverse CDF of one uniform draw (uniform over the
+    rows where every row is already on a center); then every restart that
+    has not converged takes each Lloyd step together. A z that is not
+    finite, or whose squared distances could overflow float64, is a
+    NumericalError."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise ShapeError(f"k-means needs a 2-D array of rows, got {z.ndim}-D")
@@ -185,10 +174,6 @@ def kmeans(z, c, max_iter=100, seed=0, restarts=20):
         raise NumericalError("k-means input is not finite or its squared "
                              "distances overflow float64")
     centers = _kmeans_pp_lockstep(z, c, restarts, np.random.default_rng(seed))
-    if centers is None:
-        rng = np.random.default_rng(seed)
-        centers = np.stack([_kmeans_pp_init(z, c, rng)
-                            for _ in range(restarts)])
     assign = _lloyd(z, zz, centers, max_iter)
     objectives = [_objective(z, centers[r], assign[r]) for r in range(restarts)]
     best = int(np.argmin(objectives))  # the first of equal objectives

@@ -282,22 +282,28 @@ def make_synthetic(out_dir, clusters, samples, views=2, noise=0.1, seed=0,
     rng = np.random.default_rng(seed)
     if view_dims is None:
         view_dims = [SYNTH_LATENT_DIM * 3 + 2 * i for i in range(views)]
-    centers = rng.normal(0.0, 2.0, size=(clusters, SYNTH_LATENT_DIM))
-    labels = rng.integers(0, clusters, size=samples)
-    latent = centers[labels] + rng.normal(0.0, 0.25, size=(samples, SYNTH_LATENT_DIM))
-    noise_scale = np.full(samples, noise)
-    n_bad = int(outlier_fraction * samples)
-    if n_bad > 0:
-        bad = rng.choice(samples, size=n_bad, replace=False)
-        other = (labels[bad] + rng.integers(1, clusters, size=n_bad)) % clusters
-        latent[bad] = 0.5 * (centers[labels[bad]] + centers[other]) \
-            + rng.normal(0.0, 0.25, size=(n_bad, SYNTH_LATENT_DIM))
-        noise_scale[bad] = noise * outlier_scale
-    with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        # per view, the projection is drawn first and then the noise
-        tables = [latent @ rng.normal(0.0, 1.0, size=(SYNTH_LATENT_DIM, d))
-                  + noise_scale[:, None] * rng.normal(0.0, 1.0, size=(samples, d))
-                  for d in view_dims]
+    try:
+        centers = rng.normal(0.0, 2.0, size=(clusters, SYNTH_LATENT_DIM))
+        labels = rng.integers(0, clusters, size=samples)
+        latent = centers[labels] + rng.normal(0.0, 0.25, size=(samples, SYNTH_LATENT_DIM))
+        noise_scale = np.full(samples, noise)
+        n_bad = int(outlier_fraction * samples)
+        if n_bad > 0:
+            bad = rng.choice(samples, size=n_bad, replace=False)
+            other = (labels[bad] + rng.integers(1, clusters, size=n_bad)) % clusters
+            latent[bad] = 0.5 * (centers[labels[bad]] + centers[other]) \
+                + rng.normal(0.0, 0.25, size=(n_bad, SYNTH_LATENT_DIM))
+            noise_scale[bad] = noise * outlier_scale
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            # per view, the projection is drawn first and then the noise
+            tables = [latent @ rng.normal(0.0, 1.0, size=(SYNTH_LATENT_DIM, d))
+                      + noise_scale[:, None] * rng.normal(0.0, 1.0, size=(samples, d))
+                      for d in view_dims]
+    except (MemoryError, ValueError) as exc:
+        # numpy refusing an allocation: more memory than there is, or more
+        # elements than an array may hold
+        raise DataError(f"samples ({samples}) or views ({views}) too large "
+                        f"to allocate: {exc}") from None
     if not all(np.isfinite(data).all() for data in tables):
         raise DataError(f"noise {noise} with outlier_scale {outlier_scale} "
                         "overflows the views")

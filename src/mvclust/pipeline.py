@@ -419,35 +419,36 @@ def run(cfg, shared=None):
         km = _cluster(cfg, z, prep.clusters)
         metrics = _write(cfg, model, z, km, prep.dataset.labels)
 
-        wall = time.perf_counter() - started
-        _write_run_info(cfg, wall, result, rec.n_pairs, best_view, rec.sim_rate)
-    return RunReport(
-        variant=cfg.variant,
-        seed=cfg.seed,
-        metrics=metrics,
-        wall_clock=wall,
-        out_dir=cfg.out,
-        gate_opened_epoch=result.gate_opened_epoch,
-        n_inconsistent_pairs=rec.n_pairs,
-        best_view=best_view,
-        similarity_direction_rate=rec.sim_rate,
-        log_rows=result.log_rows,
-    )
+        report = RunReport(
+            variant=cfg.variant,
+            seed=cfg.seed,
+            metrics=metrics,
+            wall_clock=time.perf_counter() - started,
+            out_dir=cfg.out,
+            gate_opened_epoch=result.gate_opened_epoch,
+            n_inconsistent_pairs=rec.n_pairs,
+            best_view=best_view,
+            similarity_direction_rate=rec.sim_rate,
+            log_rows=result.log_rows,
+        )
+        _write_run_info(report, cfg.manifest)
+    return report
 
 
-def _write_run_info(cfg, wall, result, n_pairs, best_view, sim_rate):
+def _write_run_info(report, manifest):
     # timing and other non-reproducible context live here, not in metrics.txt
-    with replacing(os.path.join(cfg.out, "run_info.txt")) as fh:
-        fh.write(f"variant = {cfg.variant}\n")
-        fh.write(f"seed = {cfg.seed}\n")
-        fh.write(f"manifest = {cfg.manifest}\n")
-        fh.write(f"wall_clock_seconds = {wall:.2f}\n")
-        fh.write(f"gate_opened_epoch = {result.gate_opened_epoch}\n")
-        fh.write(f"inconsistent_pairs = {n_pairs}\n")
-        if best_view >= 0:
-            fh.write(f"best_view = {best_view}\n")
-        if sim_rate == sim_rate:
-            fh.write(f"similarity_direction_rate = {sim_rate:.4f}\n")
+    with replacing(os.path.join(report.out_dir, "run_info.txt")) as fh:
+        fh.write(f"variant = {report.variant}\n")
+        fh.write(f"seed = {report.seed}\n")
+        fh.write(f"manifest = {manifest}\n")
+        fh.write(f"wall_clock_seconds = {report.wall_clock:.2f}\n")
+        fh.write(f"gate_opened_epoch = {report.gate_opened_epoch}\n")
+        fh.write(f"inconsistent_pairs = {report.n_inconsistent_pairs}\n")
+        if report.best_view >= 0:
+            fh.write(f"best_view = {report.best_view}\n")
+        rate = report.similarity_direction_rate
+        if rate == rate:
+            fh.write(f"similarity_direction_rate = {rate:.4f}\n")
 
 
 def export_embeddings(run_dir, dest=None):

@@ -116,6 +116,22 @@ def lloyd_with_final_pass(z, centers, max_iter):
     return centers, d2.argmin(axis=1), updates
 
 
+def kmeans_pp_one_restart(z, c, rng):
+    """k-means++ seeding of one restart (Arthur & Vassilvitskii 2007): a
+    uniform first center, then each center drawn by ``rng.choice`` with
+    probability proportional to the squared distance to the nearest center
+    so far, or uniformly once every row is on a center."""
+    n = z.shape[0]
+    centers = np.empty((c, z.shape[1]))
+    centers[0] = z[rng.integers(n)]
+    d2 = ((z - centers[0]) ** 2).sum(axis=1)
+    for q in range(1, c):
+        w = d2 if d2.sum() > 0.0 else np.ones(n)
+        centers[q] = z[rng.choice(n, p=w / w.sum())]
+        d2 = np.minimum(d2, ((z - centers[q]) ** 2).sum(axis=1))
+    return centers
+
+
 def reference_kmeans(z, c, max_iter=100, seed=0, restarts=20):
     """k-means one restart after another: k-means++ seeding with
     ``rng.choice``, Lloyd, and the lowest objective (ties by restart
@@ -124,7 +140,7 @@ def reference_kmeans(z, c, max_iter=100, seed=0, restarts=20):
     best = None
     for _ in range(restarts):
         centers, assign, _ = lloyd_with_final_pass(
-            z, cluster._kmeans_pp_init(z, c, rng), max_iter)
+            z, kmeans_pp_one_restart(z, c, rng), max_iter)
         obj = cluster._objective(z, centers, assign)
         if best is None or obj < best.objective:
             best = cluster.ClusterModel(centers, assign, obj)
@@ -171,23 +187,46 @@ def test_kmeans_bytewise_equal_to_lloyd_with_final_pass(rng):
         assert_kmeans_equals_reference(x, c, seed=seed)
 
 
-def test_kmeans_bytewise_equal_when_seeding_meets_a_zero_total(rng):
+def assert_zero_total_cases_equal_reference(rng):
     # every row equal, or fewer distinct rows than clusters: a k-means++ pick
-    # finds every row on a center and draws an integer instead, so the
-    # restarts are seeded one at a time. The equal rows are dyadic, so their
-    # mean is the row itself and every distance is an exact tie in the
-    # expanded form as in the broadcast one (the mean of 12 copies of another
-    # row may miss it in the last bit, and the two forms may then break the
-    # near-tie apart, as README says)
+    # finds every row on a center and draws uniformly over the rows. The
+    # equal rows are dyadic, so their mean is the row itself and every
+    # distance is an exact tie in the expanded form as in the broadcast one
+    # (the mean of 12 copies of another row may miss it in the last bit, and
+    # the two forms may then break the near-tie apart, as README says)
     equal = np.tile([[0.5, -1.25, 3.0]], (12, 1))
     few = np.repeat(rng.normal(size=(3, 4)), [5, 1, 4], axis=0)
-    for (x, c), seed, max_iter in itertools.product(
-            ((equal, 1), (equal, 3), (few, 4), (few, 6)), range(3),
-            (1, 2, 100)):
-        if c > 1:
-            assert cluster._kmeans_pp_lockstep(
-                x, c, 20, np.random.default_rng(seed)) is None
-        assert_kmeans_equals_reference(x, c, max_iter=max_iter, seed=seed)
+    for (x, c), seed in itertools.product(
+            ((equal, 1), (equal, 3), (few, 4), (few, 6)), range(3)):
+        # the seeds themselves, restart by restart: Lloyd may end on the
+        # same centers from different picks among repeated rows
+        seeding = np.random.default_rng(seed)
+        seeds = np.stack([kmeans_pp_one_restart(x, c, seeding)
+                          for _ in range(20)])
+        assert cluster._kmeans_pp_lockstep(
+            x, c, 20, np.random.default_rng(seed)).tobytes() == seeds.tobytes()
+        for max_iter in (1, 2, 100):
+            assert_kmeans_equals_reference(x, c, max_iter=max_iter, seed=seed)
+
+
+def test_kmeans_bytewise_equal_when_seeding_meets_a_zero_total(tmp_path):
+    # with one and with two BLAS threads, read at start-up of a fresh
+    # process; the cases draw from a generator seeded like the rng fixture
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cluster.__file__)))
+    script = ("import numpy as np\n"
+              "import test_cluster\n"
+              "test_cluster.assert_zero_total_cases_equal_reference("
+              "np.random.default_rng(12345))\n")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [tests, src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_kmeans_bytewise_equal_when_restarts_converge_apart(rng):
@@ -195,7 +234,7 @@ def test_kmeans_bytewise_equal_when_restarts_converge_apart(rng):
     # max_iter 1, 2 and 3 cut some restarts short and not others
     x = blobs(rng, 150, 2, 3)
     seeding = np.random.default_rng(0)
-    updates = {lloyd_with_final_pass(x, cluster._kmeans_pp_init(x, 3, seeding),
+    updates = {lloyd_with_final_pass(x, kmeans_pp_one_restart(x, 3, seeding),
                                      100)[2] for _ in range(20)}
     assert min(updates) <= 2 and max(updates) > 3
     for seed, max_iter in itertools.product(range(3), (1, 2, 3, 100)):
@@ -229,6 +268,19 @@ def test_kmeans_pp_pick_is_the_inverse_cdf_of_one_draw():
         pick = int(np.searchsorted(cdf, u, side="right"))
         assert pick > 0
         np.testing.assert_array_equal(centers[0], z[[0, pick]])
+
+
+def test_kmeans_pp_pick_on_equal_rows_is_the_inverse_uniform_cdf():
+    # four rows equal as numbers, told apart by the signs of their zeros:
+    # every squared distance is 0, so every row weighs 1, and the pick is
+    # the count of uniform-CDF entries <= u, row 0 included
+    z = np.array([[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+    cdf = np.cumsum(np.ones(4) / 4.0)
+    for u in (0.0, 0.25, np.nextafter(0.25, 0.0), 0.5, 0.999):
+        centers = cluster._kmeans_pp_lockstep(z, 2, 1, FixedDraws([u]))
+        pick = int((cdf <= u).sum())
+        np.testing.assert_array_equal(np.signbit(centers[0]),
+                                      np.signbit(z[[0, pick]]))
 
 
 def test_exact_ties_go_to_the_lower_center_index():

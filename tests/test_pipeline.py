@@ -410,6 +410,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["synth", "--out", str(tmp_path / "blobs"), "--seed", "-1"], "seed"),
         (["synth", "--out", str(tmp_path / "blobs"), "--clusters", "2",
           "--samples", "20", "--noise", "1e308"], "noise"),
+        (["synth", "--out", str(tmp_path / "blobs"),
+          "--samples=100000000000"], "samples"),
         (["run", "--config", str(huge_cfg)],
          f"{huge / 'view0.csv'}: zscore normalization overflows"),
         (["run", "--config", str(raw_cfg)],
