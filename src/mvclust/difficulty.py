@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .files import replacing
-from .nets import (AdamState, MlpSpec, Net, adam_step, clamp_prob,
-                   clamp_prob_masked, init_mlp, make_net)
+from .nets import (AdamState, MlpSpec, Net, adam_step, binary_log_likelihood,
+                   clamp_prob, init_mlp, make_net)
 
 def assign_difficulty(partition, mu):
     """Label one view's samples via the anchor-distance boundary rule.
@@ -59,17 +59,6 @@ def collect_inconsistent(labels):
                 pairs.append((int(k), i, j))
     pairs.sort()
     return pairs
-
-
-def _log_terms(f_i, f_j, ell):
-    """The binary classification loss L_adv over inconsistent pairs, summed:
-    -ell * (sum log f_i + sum log(1 - f_j)) over clamped probabilities,
-    with its gradients w.r.t. the unclamped f_i and f_j (zero where clamped)."""
-    p_i, in_i = clamp_prob_masked(f_i)
-    p_j, in_j = clamp_prob_masked(f_j)
-    value = -ell * (np.add.reduce(np.log(p_i), None)
-                    + np.add.reduce(np.log(1.0 - p_j), None))
-    return value, -ell / p_i * in_i, ell / (1.0 - p_j) * in_j
 
 
 def _hinge(e_i, e_fused, e_j, margin):
@@ -212,10 +201,12 @@ def _batch_losses_and_grads(model, stacked, embedder=True, out=None):
     ``stacked`` comes from ``_stack_batch``. Returns (L_sim, L_adv, embedder
     gradient of J laid out like ``model.embed_params``, classifier gradient
     of beta*L_adv laid out like ``model.classifier.params.flat``),
-    batch-mean normalized. Each head with rows, the trunk and the classifier
-    run one forward (and backward) over all their rows. With
-    ``embedder=False`` the trunk and head backward passes are skipped and
-    the embedder gradient is None.
+    batch-mean normalized, with one of the two gradients None. Each head
+    with rows, the trunk and the classifier run one forward (and backward)
+    over all their rows. By default the classifier's backward computes only
+    its input gradient, and the classifier gradient is None. With
+    ``embedder=False`` it computes only its parameter gradient, the trunk
+    and head backward passes are skipped and the embedder gradient is None.
 
     The embedder gradient is written into ``out`` (a vector of the
     embedder's size, whatever it holds) when it is given, else into a fresh
@@ -230,13 +221,14 @@ def _batch_losses_and_grads(model, stacked, embedder=True, out=None):
     sim, dsim_ei, dsim_ef, dsim_ej = _hinge(e_i, e[stacked.at_f], e_j, m)
 
     p, c_cls = model.classifier.forward(np.concatenate([e_i, e_j]))
-    adv, dadv_pi, dadv_pj = _log_terms(p[:b], p[b:], ell)
+    sum_i, sum_j, dadv_pi, dadv_pj = binary_log_likelihood(p[:b], p[b:], ell)
+    adv = -ell * (sum_i + sum_j)
     gc, dadv_e = model.classifier.backward(
-        c_cls, np.concatenate([dadv_pi, dadv_pj]))
-    # classifier minimizes beta * L_adv
-    g_cls = beta * gc / b
+        c_cls, np.concatenate([dadv_pi, dadv_pj]),
+        input_grad=embedder, param_grad=not embedder)
     if not embedder:
-        return sim / b, adv / b, None, g_cls
+        # classifier minimizes beta * L_adv
+        return sim / b, adv / b, None, beta * gc / b
 
     # embedder minimizes J = alpha*L_sim - beta*L_adv
     g_e = np.empty_like(e)
@@ -255,7 +247,7 @@ def _batch_losses_and_grads(model, stacked, embedder=True, out=None):
         head.backward(c_head, dh[start:start + len(x)],
                       g_embed[model.embed_slices[key]], input_grad=False)
         start += len(x)
-    return sim / b, adv / b, g_embed, g_cls
+    return sim / b, adv / b, g_embed, None
 
 
 def minimax_epoch(model, dataset, pairs, batch_size, t_steps, rng):

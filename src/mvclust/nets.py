@@ -181,6 +181,18 @@ def clamp_prob_masked(p):
     return clamp_prob(p), ((p > PROB_EPS) & (p < 1.0 - PROB_EPS)).astype(float)
 
 
+def binary_log_likelihood(p_pos, p_neg, weight):
+    """The clamped binary log-likelihood of rows labelled 1 and 0, from
+    their raw probabilities: (sum log p_pos, sum log(1 - p_neg)) and the
+    gradients of -weight times each, -weight/p_pos and weight/(1 - p_neg),
+    zero where a probability was clamped."""
+    p, in_pos = clamp_prob_masked(p_pos)
+    q, in_neg = clamp_prob_masked(p_neg)
+    q = 1.0 - q
+    return (np.add.reduce(np.log(p), None), np.add.reduce(np.log(q), None),
+            -weight / p * in_pos, weight / q * in_neg)
+
+
 @dataclass
 class AdamState:
     """Adam moments of one parameter vector, allocated on the first step."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .files import replacing
-from .nets import AdamState, Net, adam_step, clamp_prob_masked, make_net
+from .nets import AdamState, Net, adam_step, binary_log_likelihood, make_net
 from .sampling import pace_value, selection_mask
 
 log = logging.getLogger(__name__)
@@ -113,11 +113,6 @@ def ae_loss_open(view_nets, x, z_common, n_views, encoded=None):
     return loss, g_enc, g_gen
 
 
-def _log_d(view_nets, x):
-    p_raw, cache = view_nets.discriminator.forward(x)
-    return (*clamp_prob_masked(p_raw), cache)
-
-
 def adversarial_losses(view_nets, x, fake):
     """GAN objectives for one view and one batch of fakes.
 
@@ -128,32 +123,25 @@ def adversarial_losses(view_nets, x, fake):
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     fake = np.atleast_2d(np.asarray(fake, dtype=float))
-    if x.shape[0] == 0:
-        raise ShapeError("empty batch")
     b_real = x.shape[0]
     b_fake = fake.shape[0]
-    p_real, in_real, cache_real = _log_d(view_nets, x)
-    p_fake, in_fake, cache_fake = _log_d(view_nets, fake)
-    q_fake = 1.0 - p_fake
-    log_fake = np.log(q_fake)
+    if b_real == 0 or b_fake == 0:
+        raise ShapeError("empty batch")
+    disc = view_nets.discriminator
+    p_real, cache_real = disc.forward(x)
+    p_fake, cache_fake = disc.forward(fake)
+    s_real, s_fake, d_real, d_fake = binary_log_likelihood(p_real, p_fake, 1.0)
     # the means as ndarray.mean takes them, without its wrapper
-    mean_fake = np.add.reduce(log_fake, None) / log_fake.size
-    disc_value = float(np.add.reduce(np.log(p_real), None) / p_real.size
-                       + mean_fake)
+    mean_fake = s_fake / b_fake
+    disc_value = float(s_real / b_real + mean_fake)
     gen_value = float(mean_fake)
     # descend -disc_value
-    disc_grads, _ = view_nets.discriminator.backward(
-        cache_real, -in_real / p_real / b_real, input_grad=False
-    )
-    d_fake = in_fake / q_fake / b_fake
-    disc_grads += view_nets.discriminator.backward(
-        cache_fake, d_fake, input_grad=False
-    )[0]
+    disc_grads, _ = disc.backward(cache_real, d_real / b_real, input_grad=False)
+    d_fake /= b_fake
+    disc_grads += disc.backward(cache_fake, d_fake, input_grad=False)[0]
     # generator descends gen_value => gradient w.r.t. fake inputs; negating
-    # the quotient is exact, so this is bitwise -in_fake / q_fake / b_fake
-    _, d_fake_for_gen = view_nets.discriminator.backward(
-        cache_fake, -d_fake, param_grad=False
-    )
+    # the fake rows' output gradient is exact
+    _, d_fake_for_gen = disc.backward(cache_fake, -d_fake, param_grad=False)
     return disc_value, disc_grads, gen_value, d_fake_for_gen
 
 

@@ -14,9 +14,9 @@ import pytest
 from mvclust.cluster import accuracy, evaluate, kmeans, nmi, purity
 from mvclust.data import (MultiViewDataset, NeighborPartition, build_partition,
                           make_synthetic)
-from mvclust.difficulty import (_batch_losses_and_grads, _hinge, _log_terms,
-                                _stack_batch, assign_difficulty,
-                                build_reconciler)
+from mvclust.difficulty import (_batch_losses_and_grads, _hinge, _stack_batch,
+                                assign_difficulty, build_reconciler)
+from mvclust.nets import binary_log_likelihood
 from mvclust.network import (GOLDEN_SECTION, adversarial_losses,
                              ae_loss_closed, ae_loss_open, build_model, gate)
 from mvclust.pipeline import export_embeddings, load_config, run
@@ -66,7 +66,12 @@ def _oracle_adv_loss(rng):
         ell = float(rng.uniform(0.0, 1.0))
         ref = -sum(ell * (math.log(a) + math.log(1.0 - b))
                    for a, b in zip(f_i, f_j)) / k
-        assert rel_err(_log_terms(f_i, f_j, ell)[0] / k, ref) < 1e-12
+        sum_i, sum_j, grad_i, grad_j = binary_log_likelihood(f_i, f_j, ell)
+        assert rel_err(-ell * (sum_i + sum_j) / k, ref) < 1e-12
+        assert rel_err(sum_i, sum(math.log(a) for a in f_i)) < 1e-12
+        assert rel_err(sum_j, sum(math.log(1.0 - b) for b in f_j)) < 1e-12
+        assert rel_err(grad_i, [-ell / a for a in f_i]) < 1e-12
+        assert rel_err(grad_j, [ell / (1.0 - b) for b in f_j]) < 1e-12
 
 
 def _oracle_sim_loss(rng):
@@ -298,8 +303,7 @@ def test_criterion_3_gradient_checks():
                 s, a, _, _ = _batch_losses_and_grads(model, stacked)
                 return alpha * s - beta * a
 
-            _, _, embed_grads, cls_grads = _batch_losses_and_grads(
-                model, stacked)
+            _, _, embed_grads, _ = _batch_losses_and_grads(model, stacked)
             _check_close([embed_grads],
                          numerical_grads(j_value, [model.embed_params]))
 
@@ -308,6 +312,8 @@ def test_criterion_3_gradient_checks():
                 _, a, _, _ = _batch_losses_and_grads(model, stacked)
                 return beta * a
 
+            cls_grads = _batch_losses_and_grads(model, stacked,
+                                                embedder=False)[3]
             _check_close([cls_grads],
                          numerical_grads(adv_value,
                                          [model.classifier.params.flat]))

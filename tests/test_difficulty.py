@@ -4,16 +4,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from mvclust import difficulty, network
 from mvclust.data import MultiViewDataset, NeighborPartition, build_partition
 from mvclust.difficulty import (ReconcilerModel, assign_difficulty,
                                 assignment_from_partitions, build_reconciler,
                                 classifier_agreement_rate, collect_inconsistent,
                                 export_difficulty, minimax_epoch,
                                 resolve_labels, similarity_direction_rate,
-                                _batch_losses_and_grads, _hinge, _log_terms,
+                                _batch_losses_and_grads, _hinge,
                                 _stack_batch, train_reconciler)
 from mvclust.errors import DataError
-from mvclust.nets import Net, clamp_prob
+from mvclust.nets import Net, binary_log_likelihood, clamp_prob
 
 from conftest import embed_rows, rel_err
 
@@ -139,14 +140,26 @@ def test_fused_head_lands_in_embedding_width(rng):
 
 
 def adv_term(f_i, f_j, ell):
-    return _log_terms(np.array(f_i), np.array(f_j), ell)[0]
+    """L_adv as the reconciler forms it, and its two gradients."""
+    sum_i, sum_j, grad_i, grad_j = binary_log_likelihood(
+        np.array(f_i), np.array(f_j), ell)
+    return -ell * (sum_i + sum_j), grad_i, grad_j
 
 
 def test_adv_loss_hand_values():
-    assert abs(adv_term([0.9], [0.1], 0.5)
-               - (-0.5 * (np.log(0.9) + np.log(0.9)))) < 1e-12
-    assert abs(adv_term([0.5], [0.5], 1.0) - (-(np.log(0.5) + np.log(0.5)))) < 1e-12
-    assert adv_term([0.3], [0.8], 0.0) == 0.0
+    value, grad_i, grad_j = adv_term([0.9], [0.1], 0.5)
+    assert abs(value - (-0.5 * (np.log(0.9) + np.log(0.9)))) < 1e-12
+    assert abs(grad_i[0] - -0.5 / 0.9) < 1e-12
+    assert abs(grad_j[0] - 0.5 / 0.9) < 1e-12
+    value, grad_i, grad_j = adv_term([0.5], [0.5], 1.0)
+    assert abs(value - (-(np.log(0.5) + np.log(0.5)))) < 1e-12
+    assert grad_i[0] == -2.0 and grad_j[0] == 2.0
+    value, grad_i, grad_j = adv_term([0.3], [0.8], 0.0)
+    assert value == 0.0 and grad_i[0] == 0.0 and grad_j[0] == 0.0
+    # a clamped probability has a zero gradient
+    value, grad_i, grad_j = adv_term([1.0], [0.0], 1.0)
+    assert abs(value - -2.0 * np.log(1.0 - 1e-7)) < 1e-12
+    assert grad_i[0] == 0.0 and grad_j[0] == 0.0
 
 
 def test_sim_loss_hand_values(rng):
@@ -190,8 +203,9 @@ def test_minimax_first_order_directions():
     model = build_reconciler([6, 4], np.random.default_rng(0), learning_rate=1e-4)
     batch = pairs[:8]
 
-    _, _, embed_grads, cls_grads = _batch_losses_and_grads(
-        model, _stack_batch(ds, batch))
+    stacked = _stack_batch(ds, batch)
+    _, _, embed_grads, _ = _batch_losses_and_grads(model, stacked)
+    cls_grads = _batch_losses_and_grads(model, stacked, embedder=False)[3]
     before_e = model.embed_params.copy()
     before_c = model.classifier.params.flat.copy()
     minimax_epoch(model, ds, batch, batch_size=8, t_steps=1,
@@ -295,14 +309,50 @@ def test_embedder_nets_share_one_flat_vector():
     assert not np.shares_memory(model.classifier.params.flat, model.embed_params)
 
 
-def test_classifier_pass_matches_full_pass():
+def test_classifier_pass_matches_full_pass(monkeypatch):
+    # each step computes one half of the classifier's backward, bitwise
+    # what the full backward gives for it
     ds, _, _, pairs = toy_inconsistent_setup()
     model = build_reconciler([6, 4], np.random.default_rng(0))
     stacked = _stack_batch(ds, pairs[:8])
-    full = _batch_losses_and_grads(model, stacked)
-    cls_only = _batch_losses_and_grads(model, stacked, embedder=False)
-    assert cls_only[:2] == full[:2] and cls_only[2] is None
-    assert cls_only[3].tobytes() == full[3].tobytes()
+    embed_step = _batch_losses_and_grads(model, stacked)
+    cls_step = _batch_losses_and_grads(model, stacked, embedder=False)
+    assert cls_step[:2] == embed_step[:2]
+    assert embed_step[3] is None and cls_step[2] is None
+
+    def full_backward(cache, grad_out, out=None, **flags):
+        return Net.backward(model.classifier, cache, grad_out, out)
+
+    monkeypatch.setattr(model.classifier, "backward", full_backward)
+    want_embed = _batch_losses_and_grads(model, stacked)[2]
+    want_cls = _batch_losses_and_grads(model, stacked, embedder=False)[3]
+    assert embed_step[2].tobytes() == want_embed.tobytes()
+    assert cls_step[3].tobytes() == want_cls.tobytes()
+
+
+def test_both_games_call_the_one_log_likelihood_once_per_call(monkeypatch):
+    # the discriminator's value and the reconciler's L_adv are one function
+    calls = Counter()
+    for module in (difficulty, network):
+        def counted(*args, fn=module.binary_log_likelihood,
+                    name=module.__name__):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, "binary_log_likelihood", counted)
+    ds, _, _, pairs = toy_inconsistent_setup()
+    model = build_reconciler([6, 4], np.random.default_rng(0))
+    stacked = _stack_batch(ds, pairs[:8])
+    for embedder in (True, False):
+        calls.clear()
+        _batch_losses_and_grads(model, stacked, embedder=embedder)
+        assert calls == {"mvclust.difficulty": 1}
+    rng = np.random.default_rng(0)
+    vn = network.build_model([4], 2, rng, hidden=(5,),
+                             disc_hidden=(6, 4)).views[0]
+    calls.clear()
+    network.adversarial_losses(vn, rng.normal(size=(4, 4)),
+                               rng.normal(size=(3, 4)))
+    assert calls == {"mvclust.network": 1}
 
 
 # --- batched pair passes against one-pair-at-a-time references -----------------
@@ -487,7 +537,11 @@ def _assert_matches_reference(model, ds, batch):
     # the weight gradients sum their rows in another order, so an entry
     # that cancels to near zero may differ by a few ulps of the vector's
     # largest entry: the tolerance is relative to that entry
-    got = _batch_losses_and_grads(model, _stack_batch(ds, batch))
+    # losses and embedder gradient of an embedder step, classifier
+    # gradient of a classifier step
+    stacked = _stack_batch(ds, batch)
+    got = (*_batch_losses_and_grads(model, stacked)[:3],
+           _batch_losses_and_grads(model, stacked, embedder=False)[3])
     want = _ref_batch_losses_and_grads(model, ds, batch)
     for value, ref in zip(got, want):
         np.testing.assert_allclose(value, ref, rtol=1e-12,
@@ -521,7 +575,7 @@ def test_embedder_gradient_overwrites_a_given_buffer():
     buf = np.full(model.embed_params.size, np.nan)
     got = _batch_losses_and_grads(model, stacked, out=buf)
     assert got[2] is buf and buf.tobytes() == want[2].tobytes()
-    assert got[:2] == want[:2] and got[3].tobytes() == want[3].tobytes()
+    assert got[:2] == want[:2] and got[3] is want[3] is None
     assert (buf[model.embed_slices[(0, 2)]] == 0.0).all()
 
 

@@ -193,6 +193,14 @@ def test_adversarial_losses_makes_two_disc_forwards_and_three_backwards(
     assert calls == {"mlp_forward": 2, "mlp_backward": 3}
 
 
+@pytest.mark.parametrize("b_real,b_fake", [(0, 3), (3, 0)])
+def test_adversarial_losses_rejects_an_empty_batch(rng, b_real, b_fake):
+    vn = build_model([4], 2, rng, hidden=(5,), disc_hidden=(6, 4)).views[0]
+    with pytest.raises(ShapeError, match="^empty batch$"):
+        adversarial_losses(vn, rng.normal(size=(b_real, 4)),
+                           rng.normal(size=(b_fake, 4)))
+
+
 def test_fuse_subspace():
     a = np.arange(6.0).reshape(3, 2)
     np.testing.assert_array_equal(fuse_subspace([a, a]), a)

@@ -52,7 +52,7 @@ def output_hashes(workload, seed):
 
 
 def main(argv):
-    if len(argv) < 2:
+    if len(argv) < 2 or not all(seed.isdecimal() for seed in argv[1:]):
         sys.exit("usage: output_hashes.py <workload> <seed>...")
     sys.path.append(os.path.join(ROOT, "src"))       # after PYTHONPATH
     sys.dont_write_bytecode = True                    # keep perfbench/ untouched
