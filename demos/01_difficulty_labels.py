@@ -39,4 +39,4 @@ for v, part in enumerate(partitions):
 
 pairs = collect_inconsistent(labels)
 print(f"\ncross-view disagreements: {len(pairs)} sample/view pairs")
-print("first few:", pairs[:5])
+print("first few (sample, view_i, view_j):", pairs[:5].tolist())

@@ -9,9 +9,9 @@ common subspace, and k-means with ACC/NMI/Purity evaluation.
 from .cluster import ClusterModel, MetricReport, accuracy, evaluate, kmeans, nmi, purity
 from .data import (MultiViewDataset, NeighborPartition, build_partition,
                    load_manifest, load_views, make_synthetic, normalize_view)
-from .difficulty import (ReconcilerModel, assign_difficulty,
-                         assignment_from_partitions, build_reconciler,
-                         collect_inconsistent, resolve_labels, train_reconciler)
+from .difficulty import (PairEmbedding, ReconcilerModel, assign_difficulty,
+                         assignment_from_partitions, build_reconciler, collect_inconsistent,
+                         embed_pairs, resolve_labels, train_reconciler)
 from .errors import (ConfigError, DataError, MvclustError, NumericalError,
                      ShapeError)
 from .nets import (AdamState, MlpParams, MlpSpec, adam_step, init_mlp,

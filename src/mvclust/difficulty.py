@@ -10,6 +10,7 @@ trained classifier's verdict on the fused sample becomes the shared label.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,18 +48,16 @@ def assignment_from_partitions(partitions, mu):
 
 
 def collect_inconsistent(labels):
-    """All (sample, view_i, view_j) triples whose labels disagree, i < j."""
+    """The pair table: an (m, 3) integer array of (sample, view_i, view_j)
+    rows, i < j, whose two labels disagree, by sample and then view pair."""
     labels = np.asarray(labels)
-    if labels.shape[0] < 2:
-        raise DataError("need labels from at least 2 views")
-    pairs = []
-    n_views = labels.shape[0]
-    for i in range(n_views):
-        for j in range(i + 1, n_views):
-            for k in np.nonzero(labels[i] != labels[j])[0]:
-                pairs.append((int(k), i, j))
-    pairs.sort()
-    return pairs
+    if labels.ndim != 2 or len(labels) < 2:
+        raise DataError("need a (views, samples) label matrix with at least 2 "
+                        f"views, got shape {labels.shape}")
+    vi, vj = np.triu_indices(labels.shape[0], 1)
+    group, k = np.nonzero(labels[vi] != labels[vj])
+    pairs = np.column_stack([k, vi[group], vj[group]])
+    return pairs[np.argsort(k, kind="stable")]
 
 
 def _hinge(e_i, e_fused, e_j, margin):
@@ -139,17 +138,15 @@ def build_reconciler(view_dims, rng, embed_width=32, head_width=64,
 class _StackedBatch:
     """Pairs laid out for a single pass per net.
 
-    ``groups`` holds ((i, j), sample indices) for each view pair, in order.
-    ``heads`` holds (head key, input rows) for each head that has rows: the
-    view heads in view order, each with that view's rows from every group it
-    is in, then the pair heads in view-pair order with their fused rows. The
-    trunk runs over the head outputs stacked in that order, and ``at_i``,
-    ``at_j`` and ``at_f`` index each group's e_i, e_j and e_f rows there,
-    group after group, so together they cover every stacked row once and
-    each holds one row per pair.
+    ``pairs`` holds the batch's rows in view-pair order, each view pair's in
+    batch order. ``heads`` holds (head key, input rows) for each head that
+    has rows: the view heads in view order, each with its view's members in
+    ``pairs`` order, then the pair heads with their fused rows. The trunk
+    runs over the head outputs stacked in that order, and ``at_i``, ``at_j``
+    and ``at_f`` index each pair's e_i, e_j and e_f rows there.
     """
 
-    groups: list
+    pairs: np.ndarray
     heads: list
     at_i: np.ndarray
     at_j: np.ndarray
@@ -157,30 +154,25 @@ class _StackedBatch:
 
 
 def _stack_batch(dataset, pairs):
-    """Stack (sample, view_i, view_j) pairs for ``_embed``; a minimax batch
-    is stacked once and reused by every pass over it."""
-    groups = {}
-    for k, i, j in pairs:
-        groups.setdefault((i, j), []).append(k)
-    groups = [(key, np.array(ks)) for key, ks in sorted(groups.items())]
-    view_rows, pair_rows = {}, []
-    for (i, j), ks in groups:
-        x_i, x_j = dataset.views[i][ks], dataset.views[j][ks]
-        view_rows.setdefault(i, []).append(x_i)
-        view_rows.setdefault(j, []).append(x_j)
-        pair_rows.append(((i, j), np.hstack([x_i, x_j])))
-    heads = [(v, np.concatenate(view_rows[v])) for v in sorted(view_rows)] + pair_rows
-    cursor, start = {}, 0    # head key -> its next unclaimed stacked row
-    for key, x in heads:
-        cursor[key] = start
-        start += len(x)
-    at_i, at_j, at_f = [], [], []
-    for (i, j), ks in groups:
-        for at, key in ((at_i, i), (at_j, j), (at_f, (i, j))):
-            at.append(np.arange(cursor[key], cursor[key] + len(ks)))
-            cursor[key] += len(ks)
-    return _StackedBatch(groups, heads, np.concatenate(at_i),
-                         np.concatenate(at_j), np.concatenate(at_f))
+    """Stack rows of the pair table for ``_embed``; a minimax batch is
+    stacked once and reused by every pass over it."""
+    pairs = pairs[np.lexsort((pairs[:, 2], pairs[:, 1]))]   # stable
+    ks, views = pairs[:, 0], dataset.views
+    # the view heads' rows are the members (pair t's at 2t, 2t + 1) stably
+    # sorted by view; ``at`` inverts that order
+    member_view = pairs[:, 1:].ravel()
+    rows = np.argsort(member_view, kind="stable")
+    at = np.argsort(rows)
+    cut = np.searchsorted(member_view[rows], np.arange(len(views) + 1)).tolist()
+    heads = [(v, x[ks[rows[lo:hi] // 2]])
+             for v, (x, lo, hi) in enumerate(zip(views, cut, cut[1:])) if lo < hi]
+    starts = np.flatnonzero(np.diff(pairs[:, 1:], axis=0).any(axis=1)) + 1
+    cut = [0, *starts.tolist(), len(pairs)]   # one run per view pair
+    for lo, hi in zip(cut, cut[1:]):
+        i, j = pairs[lo, 1:].tolist()
+        heads.append(((i, j), np.hstack([views[i][ks[lo:hi]], views[j][ks[lo:hi]]])))
+    return _StackedBatch(pairs, heads, at[0::2], at[1::2],
+                         len(rows) + np.arange(len(pairs)))
 
 
 def _embed(model, stacked):
@@ -258,14 +250,13 @@ def minimax_epoch(model, dataset, pairs, batch_size, t_steps, rng):
     Adam call on one flat vector. Batches are a seeded shuffle without
     replacement. Returns mean losses; a no-op when the pair set is empty.
     """
-    if not pairs:
+    if len(pairs) == 0:
         return {"sim": 0.0, "adv": 0.0}
     order = rng.permutation(len(pairs))
     sim_vals, adv_vals = [], []
     embed_grads = np.empty(model.embed_params.size)
     for start in range(0, len(pairs), batch_size):
-        stacked = _stack_batch(
-            dataset, [pairs[idx] for idx in order[start:start + batch_size]])
+        stacked = _stack_batch(dataset, pairs[order[start:start + batch_size]])
         for _ in range(t_steps):
             l_sim, l_adv, _, _ = _batch_losses_and_grads(model, stacked,
                                                          out=embed_grads)
@@ -293,55 +284,62 @@ def train_reconciler(model, dataset, pairs, epochs, batch_size=32, t_steps=3,
     return history
 
 
-def resolve_labels(model, dataset, labels):
-    """Replace every cross-view disagreement in the (V, n) label matrix with
-    the classifier's verdict on the fused pair (>= 0.5 means difficult).
-    Returns a consistent copy.
-    """
-    labels = labels.copy()
-    pairs = collect_inconsistent(labels)
-    if not pairs:
-        return labels
+class PairEmbedding(NamedTuple):
+    """Pair-table rows in view-pair order and their e_i, e_j and e_f rows."""
+
+    pairs: np.ndarray
+    e_i: np.ndarray
+    e_j: np.ndarray
+    e_f: np.ndarray
+
+
+def embed_pairs(model, dataset, pairs):
+    """All rows of the pair table through one embedder pass, stacked as a batch."""
+    if len(pairs) == 0:
+        return PairEmbedding(pairs, *np.empty((3, 0, model.trunk.spec.widths[-1])))
     stacked = _stack_batch(dataset, pairs)
     e = _embed(model, stacked)[0]
-    p = clamp_prob(model.classifier.forward(e[stacked.at_f])[0][:, 0])
-    verdicts = {}   # sample -> verdicts on its fused pairs, in view-pair order
-    for (i, j), ks in stacked.groups:
-        p_g, p = p[:len(ks)], p[len(ks):]
-        labels[i, ks] = labels[j, ks] = p_g >= 0.5
-        for k, p_k in zip(ks.tolist(), p_g.tolist()):
-            verdicts.setdefault(k, []).append(p_k)
-    # With 3+ views, the pair verdicts, written in view-pair order, can leave
-    # a sample mixed; fall back to the mean verdict over all its fused pairs.
+    return PairEmbedding(stacked.pairs, e[stacked.at_i], e[stacked.at_j],
+                         e[stacked.at_f])
+
+
+def resolve_labels(model, labels, embedded):
+    """Replace every cross-view disagreement in the (V, n) label matrix with
+    the classifier's verdict on the fused pair (>= 0.5 means difficult),
+    given ``embed_pairs`` over ``collect_inconsistent(labels)``. Returns a
+    consistent copy."""
+    labels = labels.copy()
+    ks, vi, vj = embedded.pairs.T
+    p = clamp_prob(model.classifier.forward(embedded.e_f)[0][:, 0])
+    # write view pair after view pair: from 4 views up, a later pair's
+    # verdict can overwrite an earlier one's
+    for i, j in zip(*np.triu_indices(len(labels), 1)):
+        group = (vi == i) & (vj == j)
+        labels[i, ks[group]] = labels[j, ks[group]] = p[group] >= 0.5
+    # With 3+ views, the pair verdicts can leave a sample mixed; fall back to
+    # the mean verdict over all its fused pairs, in view-pair order.
     for k in np.flatnonzero((labels != labels[0]).any(axis=0)).tolist():
-        labels[:, k] = 1 if np.mean(verdicts[k]) >= 0.5 else 0
+        labels[:, k] = 1 if np.mean(p[ks == k]) >= 0.5 else 0
     return labels
 
 
-def classifier_agreement_rate(model, dataset, pairs):
+def classifier_agreement_rate(model, embedded):
     """Fraction of pairs whose two members get the same classifier verdict."""
-    if not pairs:
+    b = len(embedded.pairs)
+    if b == 0:
         return 1.0
-    b = len(pairs)
-    stacked = _stack_batch(dataset, pairs)
-    e = _embed(model, stacked)[0]
-    p, _ = model.classifier.forward(e[np.concatenate([stacked.at_i,
-                                                      stacked.at_j])])
-    difficult = p[:, 0] >= 0.5
-    return int((difficult[:b] == difficult[b:]).sum()) / b
+    p, _ = model.classifier.forward(np.concatenate([embedded.e_i, embedded.e_j]))
+    return int(((p[:b, 0] >= 0.5) == (p[b:, 0] >= 0.5)).sum()) / b
 
 
-def similarity_direction_rate(model, dataset, pairs):
+def similarity_direction_rate(embedded):
     """Diagnostic: fraction of pairs whose fused embedding sits closer to the
     first member than to the second. Logged, never asserted."""
-    if not pairs:
+    _, e_i, e_j, e_f = embedded
+    if len(e_f) == 0:
         return 0.0
-    stacked = _stack_batch(dataset, pairs)
-    e = _embed(model, stacked)[0]
-    e_f = e[stacked.at_f]
-    d_i = ((e_f - e[stacked.at_i]) ** 2).sum(axis=1)
-    d_j = ((e_f - e[stacked.at_j]) ** 2).sum(axis=1)
-    return int((d_i < d_j).sum()) / len(pairs)
+    closer = ((e_f - e_i) ** 2).sum(axis=1) < ((e_f - e_j) ** 2).sum(axis=1)
+    return int(closer.sum()) / len(closer)
 
 
 def export_difficulty(partitions, raw, resolved, path):

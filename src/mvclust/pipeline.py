@@ -250,7 +250,7 @@ def _reconcile(cfg, prep):
     """Stage 2 (AIS+CS, FULL): train the reconciler on the inconsistent pairs
     and let it settle every cross-view disagreement."""
     pairs = dif.collect_inconsistent(prep.raw_labels)
-    if not pairs:
+    if len(pairs) == 0:
         return Reconciled(prep.raw_labels)
     dataset = prep.dataset
     rc = cfg.reconcile
@@ -273,8 +273,9 @@ def _reconcile(cfg, prep):
         t_steps=rc["t_steps"],
         seed=cfg.seed + 2,
     )
-    labels = dif.resolve_labels(model, dataset, prep.raw_labels)
-    sim_rate = dif.similarity_direction_rate(model, dataset, pairs)
+    embedded = dif.embed_pairs(model, dataset, pairs)
+    labels = dif.resolve_labels(model, prep.raw_labels, embedded)
+    sim_rate = dif.similarity_direction_rate(embedded)
     log.info("similarity direction rate after reconciliation: %.3f", sim_rate)
     return Reconciled(labels, len(pairs), sim_rate)
 

@@ -251,7 +251,7 @@ def _reconciler_setup(seed):
         views = [rng.normal(size=(12, 3)), rng.normal(size=(12, 4))]
         ds = MultiViewDataset(views)
         model = build_reconciler([3, 4], rng, embed_width=4, head_width=6)
-        batch = [(int(k), 0, 1) for k in rng.choice(12, size=4, replace=False)]
+        batch = np.array([(k, 0, 1) for k in rng.choice(12, size=4, replace=False)])
         if _smoothness_margin(model, ds, batch) > 1e-3:
             return ds, model, batch
         seed += 1000  # re-draw away from the kink

@@ -3,13 +3,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvclust import difficulty, network
 from mvclust.data import MultiViewDataset, NeighborPartition, build_partition
 from mvclust.difficulty import (ReconcilerModel, assign_difficulty,
                                 assignment_from_partitions, build_reconciler,
                                 classifier_agreement_rate, collect_inconsistent,
-                                export_difficulty, minimax_epoch,
+                                embed_pairs, export_difficulty, minimax_epoch,
                                 resolve_labels, similarity_direction_rate,
                                 _batch_losses_and_grads, _hinge,
                                 _stack_batch, train_reconciler)
@@ -117,19 +119,87 @@ def test_labels_match_per_sample_reference_bytewise(n_views):
 
 def test_collect_inconsistent_two_views():
     pairs = collect_inconsistent(np.array([[0, 1], [0, 0]]))
-    assert pairs == [(1, 0, 1)]
+    assert pairs.dtype.kind == "i" and pairs.tolist() == [[1, 0, 1]]
 
 
 def test_collect_inconsistent_identical_views():
-    assert collect_inconsistent(np.array([[0, 1, 1], [0, 1, 1]])) == []
+    assert collect_inconsistent(np.array([[0, 1, 1], [0, 1, 1]])).shape == (0, 3)
 
 
 def test_collect_inconsistent_three_views():
     labels = np.array([[0], [1], [0]])
     pairs = collect_inconsistent(labels)
-    assert (0, 0, 1) in pairs
-    assert (0, 1, 2) in pairs
-    assert (0, 0, 2) not in pairs
+    assert pairs.tolist() == [[0, 0, 1], [0, 1, 2]]
+
+
+@pytest.mark.parametrize("labels", [np.array([0, 1, 1]),
+                                    np.zeros((2, 3, 2), dtype=int)],
+                         ids=["1-D", "3-D"])
+def test_collect_inconsistent_rejects_labels_that_are_not_a_matrix(labels):
+    with pytest.raises(DataError, match="label matrix") as err:
+        collect_inconsistent(labels)
+    assert "\n" not in str(err.value)
+
+
+@st.composite
+def label_matrices(draw, max_samples=12):
+    views = draw(st.integers(2, 6))
+    n = draw(st.integers(0, max_samples))
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return np.array(draw(st.lists(row, min_size=views, max_size=views)),
+                    dtype=int).reshape(views, n)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(labels=label_matrices())
+def test_collect_inconsistent_matches_triple_loop(labels):
+    views, n = labels.shape
+    want = sorted((k, i, j) for i in range(views) for j in range(i + 1, views)
+                  for k in range(n) if labels[i, k] != labels[j, k])
+    pairs = collect_inconsistent(labels)
+    assert pairs.shape == (len(want), 3) and pairs.dtype.kind == "i"
+    assert [tuple(row) for row in pairs.tolist()] == want
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_stacked_rows_are_each_pairs_member_features(data):
+    labels = data.draw(label_matrices(max_samples=8).filter(
+        lambda m: collect_inconsistent(m).size))
+    table = collect_inconsistent(labels)
+    views, n = labels.shape
+    # every row of every view is distinct, so a row names its sample
+    ds = MultiViewDataset([1000.0 * v + np.arange(n * (2 + v)).reshape(n, -1)
+                           for v in range(views)])
+    order = data.draw(st.permutations(range(len(table))))
+    batch = table[order[:data.draw(st.integers(1, len(table)))]]
+    b = len(batch)
+    stacked = _stack_batch(ds, batch)
+    # the batch's rows, stably grouped by view pair
+    key = [(i, j) for _, i, j in batch.tolist()]
+    want = [batch[t].tolist() for t in sorted(range(b), key=key.__getitem__)]
+    assert stacked.pairs.tolist() == want
+    # the row layout: view heads in view order, each with its view's members
+    # in that order, then the pair heads in view-pair order
+    groups = sorted(set(key))
+    assert [head for head, _ in stacked.heads] == (
+        sorted({v for group in groups for v in group}) + groups)
+    for v, x in stacked.heads[:-len(groups)]:
+        assert x.tolist() == [ds.views[v][k].tolist() for k, i, j in want
+                              if v in (i, j)]
+    at = np.concatenate([stacked.at_i, stacked.at_j, stacked.at_f])
+    assert sorted(at.tolist()) == list(range(3 * b))
+    owner, rows = [], []   # the head key and input row of each stacked row
+    for head, x in stacked.heads:
+        owner += [head] * len(x)
+        rows += list(x)
+    for t, (k, i, j) in enumerate(stacked.pairs.tolist()):
+        for r, head, x in ((stacked.at_i[t], i, ds.views[i][k]),
+                           (stacked.at_j[t], j, ds.views[j][k]),
+                           (stacked.at_f[t], (i, j),
+                            np.concatenate([ds.views[i][k], ds.views[j][k]]))):
+            assert owner[r] == head
+            np.testing.assert_array_equal(rows[r], x)
 
 
 def test_fused_head_lands_in_embedding_width(rng):
@@ -186,7 +256,7 @@ def toy_inconsistent_setup(seed=3, n=40):
 
 def test_minimax_lr_zero_keeps_parameters():
     ds, _, _, pairs = toy_inconsistent_setup()
-    assert pairs, "toy setup must produce inconsistent pairs"
+    assert len(pairs), "toy setup must produce inconsistent pairs"
     model = build_reconciler([6, 4], np.random.default_rng(0), learning_rate=0.0)
     before = [model.embed_params.copy(), model.classifier.params.flat.copy()]
     minimax_epoch(model, ds, pairs, batch_size=8, t_steps=2,
@@ -232,10 +302,10 @@ def test_minimax_agreement_rises_on_toy_set():
     # classifier-only warm-up (no embedder steps)
     train_reconciler(model, ds, pairs, epochs=60, batch_size=16, t_steps=0,
                      seed=7)
-    before = classifier_agreement_rate(model, ds, pairs)
+    before = classifier_agreement_rate(model, embed_pairs(model, ds, pairs))
     train_reconciler(model, ds, pairs, epochs=200, batch_size=16, t_steps=3,
                      seed=8)
-    after = classifier_agreement_rate(model, ds, pairs)
+    after = classifier_agreement_rate(model, embed_pairs(model, ds, pairs))
     assert before < 0.6
     assert after > 0.9
 
@@ -244,10 +314,10 @@ def test_resolution_removes_all_disagreements():
     ds, _, labels, pairs = toy_inconsistent_setup()
     model = build_reconciler([6, 4], np.random.default_rng(0), learning_rate=1e-3)
     train_reconciler(model, ds, pairs, epochs=5, batch_size=16, t_steps=2, seed=2)
-    resolved = resolve_labels(model, ds, labels)
-    assert collect_inconsistent(resolved) == []
+    resolved = resolve_labels(model, labels, embed_pairs(model, ds, pairs))
+    assert len(collect_inconsistent(resolved)) == 0
     # consistent samples keep their original labels
-    disagreeing = {k for k, _, _ in pairs}
+    disagreeing = set(pairs[:, 0].tolist())
     for k in range(ds.n):
         if k not in disagreeing:
             assert resolved[0, k] == labels[0, k]
@@ -258,8 +328,11 @@ def test_resolution_noop_without_pairs(rng):
     ds = MultiViewDataset(views)
     labels = np.zeros((2, 10), dtype=int)
     model = build_reconciler([3, 3], rng)
-    resolved = resolve_labels(model, ds, labels)
+    embedded = embed_pairs(model, ds, collect_inconsistent(labels))
+    resolved = resolve_labels(model, labels, embedded)
     np.testing.assert_array_equal(resolved, labels)
+    assert similarity_direction_rate(embedded) == 0.0
+    assert classifier_agreement_rate(model, embedded) == 1.0
 
 
 def test_three_view_resolution_is_total(rng):
@@ -269,8 +342,9 @@ def test_three_view_resolution_is_total(rng):
     parts = [build_partition(ds, v, 0, 10) for v in range(3)]
     labels = assignment_from_partitions(parts, 0.618)
     model = build_reconciler([3, 4, 5], rng)
-    resolved = resolve_labels(model, ds, labels)
-    assert collect_inconsistent(resolved) == []
+    resolved = resolve_labels(
+        model, labels, embed_pairs(model, ds, collect_inconsistent(labels)))
+    assert len(collect_inconsistent(resolved)) == 0
 
 
 def test_export_difficulty(tmp_path):
@@ -377,7 +451,7 @@ def _ref_resolve(model, ds, labels):
         p = clamp_prob(model.classifier.forward(e_f)[0])
         verdicts.append((k, float(p[0, 0])))
         labels[i, k] = labels[j, k] = int(p[0, 0] >= 0.5)
-    mixed = sorted({k for k, _, _ in collect_inconsistent(labels)})
+    mixed = sorted(set(collect_inconsistent(labels)[:, 0].tolist()))
     for k in mixed:
         labels[:, k] = int(np.mean([p for kk, p in verdicts if kk == k]) >= 0.5)
     return labels, mixed
@@ -424,11 +498,12 @@ def test_batched_pair_passes_match_per_pair_references(views):
     ref_labels, mixed = _ref_resolve(model, ds, labels)
     if views > 2:
         assert mixed, "the set must reach the mean-verdict fallback"
-    np.testing.assert_array_equal(resolve_labels(model, ds, labels),
+    embedded = embed_pairs(model, ds, pairs)
+    np.testing.assert_array_equal(resolve_labels(model, labels, embedded),
                                   ref_labels)
-    assert (similarity_direction_rate(model, ds, pairs)
+    assert (similarity_direction_rate(embedded)
             == _ref_direction_rate(model, ds, pairs))
-    assert (classifier_agreement_rate(model, ds, pairs)
+    assert (classifier_agreement_rate(model, embedded)
             == _ref_agreement_rate(model, ds, pairs))
 
 
@@ -448,27 +523,31 @@ def test_pair_passes_make_one_forward_per_net(monkeypatch):
 
     monkeypatch.setattr(Net, "forward", counted)
     # pairs of groups (0, 1) and (0, 2) only: head (1, 2) has no rows
-    some = [p for p in pairs if p[1:] != (1, 2)]
-    assert {p[1:] for p in pairs} == {(0, 1), (0, 2), (1, 2)}
-    assert {p[1:] for p in some} == {(0, 1), (0, 2)}
-    for fn, fn_pairs, classifier in (
-        (lambda: resolve_labels(model, ds, labels), pairs, 1),
-        (lambda: similarity_direction_rate(model, ds, some), some, 0),
-        (lambda: classifier_agreement_rate(model, ds, some), some, 1),
-    ):
-        groups = {p[1:] for p in fn_pairs}
+    some = pairs[(pairs[:, 1:] != (1, 2)).any(axis=1)]
+    assert set(map(tuple, pairs[:, 1:].tolist())) == {(0, 1), (0, 2), (1, 2)}
+    assert set(map(tuple, some[:, 1:].tolist())) == {(0, 1), (0, 2)}
+    for fn_pairs in (pairs, some):
+        groups = set(map(tuple, fn_pairs[:, 1:].tolist()))
         with_rows = groups | {v for group in groups for v in group}
         counts.clear()
-        fn()
-        assert counts == Counter({"trunk": 1, "classifier": classifier,
-                                  **{key: 1 for key in with_rows}})
+        embedded = embed_pairs(model, ds, fn_pairs)
+        assert counts == Counter({"trunk": 1, **{key: 1 for key in with_rows}})
+        # the label writes and both diagnostics embed nothing again
+        for fn, classifier in (
+            (lambda: resolve_labels(model, labels, embedded), 1),
+            (lambda: similarity_direction_rate(embedded), 0),
+            (lambda: classifier_agreement_rate(model, embedded), 1),
+        ):
+            counts.clear()
+            fn()
+            assert counts == Counter({"classifier": classifier})
 
 
 def test_batch_losses_are_the_loss_functions_on_one_group():
     ds, _, _, pairs = toy_inconsistent_setup()
     model = build_reconciler([6, 4], np.random.default_rng(0))
     batch = pairs[:8]            # two views: a single (0, 1) group
-    ks = [k for k, _, _ in batch]
+    ks = batch[:, 0]
     x_i, x_j = ds.views[0][ks], ds.views[1][ks]
     e_i, _ = embed_rows(model, 0, x_i)
     e_j, _ = embed_rows(model, 1, x_j)
@@ -559,7 +638,7 @@ def test_stacked_pass_matches_per_group_loop(views):
                              np.random.default_rng(13), learning_rate=1e-3)
     train_reconciler(model, ds, pairs, epochs=2, batch_size=16, t_steps=2, seed=2)
     order = np.random.default_rng(4).permutation(len(pairs))
-    batch = [pairs[idx] for idx in order[:24]]
+    batch = pairs[order[:24]]
     assert len({(i, j) for _, i, j in batch}) == views * (views - 1) // 2
     _assert_matches_reference(model, ds, batch)
 
@@ -569,7 +648,7 @@ def test_embedder_gradient_overwrites_a_given_buffer():
     model = build_reconciler([v.shape[1] for v in ds.views],
                              np.random.default_rng(13))
     # group (0, 1) only: view 2 and pair heads (0, 2), (1, 2) have no rows
-    stacked = _stack_batch(ds, [p for p in pairs if p[1:] == (0, 1)][:6])
+    stacked = _stack_batch(ds, pairs[(pairs[:, 1:] == (0, 1)).all(axis=1)][:6])
     assert {key for key, _ in stacked.heads} == {0, 1, (0, 1)}
     want = _batch_losses_and_grads(model, stacked)
     buf = np.full(model.embed_params.size, np.nan)
@@ -584,8 +663,8 @@ def test_stacked_pass_leaves_heads_without_rows_at_zero():
     model = build_reconciler([v.shape[1] for v in ds.views],
                              np.random.default_rng(13))
     # groups (0, 1) and (0, 2) only: view 3 and four view pairs have no rows
-    batch = ([p for p in pairs if p[1:] == (0, 1)][:5]
-             + [p for p in pairs if p[1:] == (0, 2)][:3])
+    batch = np.concatenate([pairs[(pairs[:, 1:] == (0, 1)).all(axis=1)][:5],
+                            pairs[(pairs[:, 1:] == (0, 2)).all(axis=1)][:3]])
     _, _, g_embed, _ = _assert_matches_reference(model, ds, batch)
     for key, sl in model.embed_slices.items():
         empty = key in (3, (0, 3), (1, 2), (1, 3), (2, 3))

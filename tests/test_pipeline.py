@@ -13,6 +13,7 @@ from mvclust import data, difficulty, pipeline
 from mvclust.cli import main
 from mvclust.data import make_synthetic
 from mvclust.errors import ConfigError
+from mvclust.nets import Net
 from mvclust.pipeline import (VARIANTS, ablate, export_embeddings, load_config,
                               run)
 
@@ -196,6 +197,38 @@ def test_ablate_runs_each_shared_stage_once_per_call(tmp_path, monkeypatch,
         assert reports["FULL"].n_inconsistent_pairs > 0
         assert counts == {"load_manifest": calls, "train_reconciler": calls,
                           "_pick_best_view": calls, "run": calls * len(VARIANTS)}
+
+
+def test_full_run_embeds_its_pairs_once_after_training(tmp_path, monkeypatch):
+    # label resolution and the direction rate share one embedder pass
+    models, training, trunk_forwards = [], [], Counter()
+    build, train, forward = (difficulty.build_reconciler,
+                             difficulty.train_reconciler, Net.forward)
+
+    def built(*args, **kwargs):
+        models.append(build(*args, **kwargs))
+        return models[-1]
+
+    def trained(*args, **kwargs):
+        training.append(True)
+        try:
+            return train(*args, **kwargs)
+        finally:
+            training.pop()
+
+    def counted(net, x):
+        if models and net is models[-1].trunk:
+            trunk_forwards["training" if training else "after"] += 1
+        return forward(net, x)
+
+    monkeypatch.setattr(difficulty, "build_reconciler", built)
+    monkeypatch.setattr(difficulty, "train_reconciler", trained)
+    monkeypatch.setattr(Net, "forward", counted)
+    cfg = load_config(small_config(tmp_path, n=80),
+                      {"network.epochs": 4, "reconcile.epochs": 2})
+    assert run(cfg).n_inconsistent_pairs > 0
+    assert len(models) == 1 and trunk_forwards["training"] > 0
+    assert trunk_forwards["after"] == 1
 
 
 @pytest.mark.parametrize("views", [2, 3])
