@@ -17,13 +17,15 @@ from .errors import ConfigError, DataError, NumericalError
 def _add_run_flags(sub):
     sub.add_argument("--config", required=True, help="experiment config file")
     sub.add_argument("--seed", type=int, default=None, help="override experiment.seed")
-    sub.add_argument("--variant", default=None, help="override experiment.variant")
     sub.add_argument("--out", default=None, help="override experiment.out")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a bad flag as a ConfigError (one line, exit 2) instead of
-    printing the usage; subparsers are made of the same class."""
+    """Raises a bad or abbreviated flag as a ConfigError (one line, exit 2)
+    instead of printing the usage; subparsers are made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -48,6 +50,7 @@ def build_parser():
 
     run = subs.add_parser("run", help="run one experiment variant")
     _add_run_flags(run)
+    run.add_argument("--variant", default=None, help="override experiment.variant")
 
     ablate = subs.add_parser("ablate", help="run all ablation variants")
     _add_run_flags(ablate)
@@ -66,12 +69,10 @@ def build_parser():
 
 def _load_cfg(args):
     overrides = {}
-    if args.seed is not None:
-        overrides["experiment.seed"] = args.seed
-    if args.variant is not None:
-        overrides["experiment.variant"] = args.variant
-    if args.out is not None:
-        overrides["experiment.out"] = args.out
+    for key in ("seed", "variant", "out"):      # ablate has no --variant
+        value = getattr(args, key, None)
+        if value is not None:
+            overrides[f"experiment.{key}"] = value
     return pl.load_config(args.config, overrides)
 
 

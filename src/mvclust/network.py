@@ -188,13 +188,13 @@ def _gan_round(vn, opt, x, z, epoch, batch):
 
 
 def train(model, dataset, averaged_probs, schedule, batch_size=64,
-          learning_rate=1e-4, seed=0, force_gate_open=False, log_path=None):
+          learning_rate=1e-4, seed=0, force_gate_open=False):
     """The progressive training loop, ``schedule.max_epochs`` epochs long.
 
     Per epoch: refresh the pace and selection mask, evaluate the gate, then run
     the closed-state (per-view autoencoder + GAN) or open-state (adds common
     subspace fusion and its reconstruction/adversarial terms) updates over the
-    selected samples only.
+    selected samples only. Writes no file (``write_training_log`` does).
     """
     n = dataset.n
     n_views = dataset.n_views
@@ -285,8 +285,6 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
         else:
             z_full[mask == 0] = fused_now[mask == 0]
 
-    if log_path:
-        write_training_log(rows, log_path)
     return TrainResult(z_full, rows, gate_opened_epoch)
 
 

@@ -23,7 +23,7 @@ import time
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -336,7 +336,7 @@ def _sampling_weights(variant, shared, labels):
 
 
 def _train(cfg, dataset, weights):
-    """Stage 4: build and train the multi-view network; writes training_log.csv."""
+    """Stage 4: build and train the multi-view network."""
     nw = cfg.network
     schedule = smp.PaceSchedule(
         max_epochs=nw["epochs"],
@@ -356,7 +356,6 @@ def _train(cfg, dataset, weights):
         learning_rate=nw["learning_rate"],
         seed=cfg.seed + 4,
         force_gate_open=cfg.variant not in _GATED,
-        log_path=os.path.join(cfg.out, "training_log.csv"),
     )
     return model, result
 
@@ -372,17 +371,27 @@ def _cluster(cfg, z, clusters):
         )
 
 
-def _write(cfg, model, z, km, labels):
-    """Stage 6: artifacts, checkpoint and (with labels) the metrics."""
-    with replacing(os.path.join(cfg.out, "artifacts.npz"), "wb") as fh:
-        np.savez(fh, z=z, predicted=km.assignments,
-                 objective=np.array([km.objective]))
-    net.save_checkpoint(model, os.path.join(cfg.out, "checkpoint.npz"))
-    if labels is None:
-        return None
-    metrics = clu.evaluate(km.assignments, labels)
-    clu.write_report(metrics, os.path.join(cfg.out, "metrics.txt"))
-    return metrics
+def _write(cfg, report, started, prep, rec, model, z, km):
+    """Stage 6, the only one writing into cfg.out: every file, run_info.txt
+    last; removes an earlier difficulty.csv or metrics.txt it does not write."""
+    path = partial(os.path.join, cfg.out)
+    with writing(cfg.out):
+        if rec.n_pairs:
+            dif.export_difficulty(prep.partitions, prep.raw_labels, rec.labels,
+                                  path("difficulty.csv"))
+        net.write_training_log(report.log_rows, path("training_log.csv"))
+        with replacing(path("artifacts.npz"), "wb") as fh:
+            np.savez(fh, z=z, predicted=km.assignments,
+                     objective=np.array([km.objective]))
+        net.save_checkpoint(model, path("checkpoint.npz"))
+        if report.metrics:
+            clu.write_report(report.metrics, path("metrics.txt"))
+        for name, written in (("difficulty.csv", rec.n_pairs),
+                              ("metrics.txt", report.metrics)):
+            if not written and os.path.isfile(path(name)):
+                os.remove(path(name))
+        report.wall_clock = time.perf_counter() - started
+        _write_run_info(report, cfg.manifest)
 
 
 def _make_out_dir(path):
@@ -397,42 +406,34 @@ def run(cfg, shared=None):
     """Execute one experiment; writes reports into cfg.out and returns a RunReport.
 
     The stages run in order: prepare, reconcile, sampling weights, train,
-    cluster, write. ``shared`` is ``ablate``'s holder of the stages its
-    variants share; without it, every stage runs here.
+    cluster, write; only the last writes into cfg.out, so a run that fails
+    before it leaves cfg.out as it was. ``shared`` is ``ablate``'s holder of
+    the stages its variants share; without it, every stage runs here.
     """
     started = time.perf_counter()
     if shared is None:
         shared = _Shared(cfg)
     prep = shared.prepared
     _make_out_dir(cfg.out)
-    with writing(cfg.out):
-        if cfg.variant in _RECONCILED:
-            rec = shared.reconciled
-            if rec.n_pairs:
-                dif.export_difficulty(prep.partitions, prep.raw_labels,
-                                      rec.labels,
-                                      os.path.join(cfg.out, "difficulty.csv"))
-        else:
-            rec = Reconciled(prep.raw_labels)
-        weights, best_view = _sampling_weights(cfg.variant, shared, rec.labels)
-        model, result = _train(cfg, prep.dataset, weights)
-        z = result.z
-        km = _cluster(cfg, z, prep.clusters)
-        metrics = _write(cfg, model, z, km, prep.dataset.labels)
-
-        report = RunReport(
-            variant=cfg.variant,
-            seed=cfg.seed,
-            metrics=metrics,
-            wall_clock=time.perf_counter() - started,
-            out_dir=cfg.out,
-            gate_opened_epoch=result.gate_opened_epoch,
-            n_inconsistent_pairs=rec.n_pairs,
-            best_view=best_view,
-            similarity_direction_rate=rec.sim_rate,
-            log_rows=result.log_rows,
-        )
-        _write_run_info(report, cfg.manifest)
+    rec = (shared.reconciled if cfg.variant in _RECONCILED
+           else Reconciled(prep.raw_labels))
+    weights, best_view = _sampling_weights(cfg.variant, shared, rec.labels)
+    model, result = _train(cfg, prep.dataset, weights)
+    km = _cluster(cfg, result.z, prep.clusters)
+    labels = prep.dataset.labels
+    report = RunReport(
+        variant=cfg.variant,
+        seed=cfg.seed,
+        metrics=None if labels is None else clu.evaluate(km.assignments, labels),
+        wall_clock=float("nan"),          # set by _write before run_info.txt
+        out_dir=cfg.out,
+        gate_opened_epoch=result.gate_opened_epoch,
+        n_inconsistent_pairs=rec.n_pairs,
+        best_view=best_view,
+        similarity_direction_rate=rec.sim_rate,
+        log_rows=result.log_rows,
+    )
+    _write(cfg, report, started, prep, rec, model, result.z, km)
     return report
 
 
@@ -495,7 +496,6 @@ def ablate(cfg, variants=VARIANTS):
         out = os.path.join(base_out, variant.replace("+", "_"))
         reports[variant] = run(replace(cfg, variant=variant, out=out), shared)
     summary = os.path.join(base_out, "ablation_summary.txt")
-    _make_out_dir(base_out)
     with writing(summary), replacing(summary) as fh:
         fh.write(format_ablation(reports))
     return reports

@@ -8,7 +8,7 @@ from mvclust.nets import MlpParams, MlpSpec, Net, adam_step, clamp_prob
 from mvclust.network import (GOLDEN_SECTION, ViewNets, _ViewOptimizers,
                              _gan_round, adversarial_losses, ae_loss_closed,
                              ae_loss_open, build_model, fuse_subspace, gate,
-                             save_checkpoint, train)
+                             save_checkpoint, train, write_training_log)
 from mvclust.sampling import PaceSchedule, pace_value, selection_mask
 
 from conftest import assert_grads_close, numerical_grads, rel_err
@@ -284,8 +284,11 @@ def test_training_log_written(tmp_path, rng):
     ds = blob_dataset(tmp_path, n=100)
     model = build_model([v.shape[1] for v in ds.views], 4, rng, hidden=(8,))
     sched = PaceSchedule(max_epochs=3)
+    before = sorted(tmp_path.iterdir())
+    result = train(model, ds, np.ones(ds.n), sched, seed=0)
+    assert sorted(tmp_path.iterdir()) == before    # train writes no file
     log_path = tmp_path / "log.csv"
-    train(model, ds, np.ones(ds.n), sched, seed=0, log_path=str(log_path))
+    write_training_log(result.log_rows, str(log_path))
     lines = log_path.read_text().strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("epoch,lambda,mask_size,gate")

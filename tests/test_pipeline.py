@@ -39,6 +39,19 @@ def small_config(tmp_path, n=120, noise=0.1, data_seed=0, views=2):
     return str(path)
 
 
+def unlabelled_config(tmp_path, labelled):
+    """A copy of the config ``labelled`` over the same views without their
+    labels, with clusters = 3."""
+    manifest = tmp_path / "data" / "manifest.txt"
+    no_labels = tmp_path / "data" / "no_labels.txt"
+    no_labels.write_text(manifest.read_text().replace("labels = labels.csv\n", ""))
+    unlabelled = tmp_path / "unlabelled.cfg"
+    with open(labelled) as fh:
+        unlabelled.write_text(fh.read().replace(
+            str(manifest), f"{no_labels}\nclusters = 3"))
+    return str(unlabelled)
+
+
 def test_load_config_defaults(tmp_path):
     cfg = load_config(small_config(tmp_path))
     assert cfg.variant == "FULL"
@@ -508,6 +521,54 @@ def test_run_whose_write_fails_partway_leaves_only_whole_files(tmp_path):
             assert (out / name).read_bytes() == (whole / name).read_bytes(), name
 
 
+def test_run_that_fails_before_its_write_stage_leaves_out_as_it_was(
+        tmp_path, capsys):
+    # a FULL run into out, then a rerun that diverges in network training
+    # (exit 4) after its reconciler has settled 6 disagreeing pairs, where
+    # seed 0 settled 2: no file of out may change, and none may be added
+    cfg = small_config(tmp_path, n=60)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "difficulty.csv" in before
+    rerun = replace(load_config(cfg), seed=2)
+    assert len(difficulty.collect_inconsistent(
+        pipeline._prepare(rerun).raw_labels)) == 6
+    diverging = tmp_path / "diverging.cfg"
+    with open(cfg) as fh:
+        diverging.write_text(fh.read().replace(
+            "[network]", "[network]\nlearning_rate = 1e300"))
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(diverging), "--seed", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_rerun_removes_the_earlier_outputs_it_does_not_write(tmp_path):
+    # a NONE run writes no difficulty.csv and an unlabelled run no
+    # metrics.txt, so a rerun into the same out removes the earlier run's;
+    # a directory of either name is left alone
+    cfg = small_config(tmp_path, n=60)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg]) == 0
+    assert (out / "difficulty.csv").is_file()
+    assert (out / "metrics.txt").is_file()
+    assert main(["run", "--config", cfg, "--variant", "NONE"]) == 0
+    assert not (out / "difficulty.csv").exists()
+    assert (out / "metrics.txt").is_file()
+    assert main(["run", "--config", unlabelled_config(tmp_path, cfg),
+                 "--variant", "NONE"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "artifacts.npz", "checkpoint.npz", "run_info.txt", "training_log.csv"]
+    blocked = tmp_path / "blocked"
+    (blocked / "difficulty.csv").mkdir(parents=True)
+    assert main(["run", "--config", cfg, "--variant", "NONE",
+                 "--out", str(blocked)]) == 0
+    assert (blocked / "difficulty.csv").is_dir()
+
+
 def test_cli_ablate_subset(tmp_path, capsys):
     cfg = small_config(tmp_path, n=80)
     assert main(["ablate", "--config", cfg, "--variants", "NONE",
@@ -521,6 +582,15 @@ def test_cli_ablate_subset(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
+    # --variant is a run flag; ablate refuses it, in full or as a prefix of
+    # --variants, rather than run what --variants names
+    capsys.readouterr()
+    assert main(["ablate", "--config", cfg, "--variant", "FULL",
+                 "--variants", "NONE", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "unrecognized arguments: --variant FULL" in err
+    assert not out.exists()
     with pytest.raises(ConfigError, match="BOGUS"):
         ablate(load_config(cfg, {"experiment.out": str(tmp_path / "lib")}),
                ["BOGUS"])
@@ -529,13 +599,7 @@ def test_cli_ablate_subset(tmp_path, capsys):
 
 def test_cli_ablate_prints_the_summary_file(tmp_path, capsys):
     labelled = small_config(tmp_path, n=80)
-    manifest = tmp_path / "data" / "manifest.txt"
-    no_labels = tmp_path / "data" / "no_labels.txt"
-    no_labels.write_text(manifest.read_text().replace("labels = labels.csv\n", ""))
-    unlabelled = tmp_path / "unlabelled.cfg"
-    with open(labelled) as fh:
-        unlabelled.write_text(fh.read().replace(
-            str(manifest), f"{no_labels}\nclusters = 3"))
+    unlabelled = unlabelled_config(tmp_path, labelled)
     for cfg, row in ((labelled, "NONE     0."),
                      (unlabelled, "NONE     (no labels)")):
         out = tmp_path / f"abl_{os.path.basename(cfg)}"
