@@ -187,7 +187,8 @@ def _embed(model, stacked):
     return e, [(head, c) for head, (_, c) in zip(heads, head_out)], c_trunk
 
 
-def _batch_losses_and_grads(model, stacked, embedder=True, out=None):
+def _batch_losses_and_grads(model, stacked, embedder=True, out=None,
+                            zero=None):
     """Both loss values and the gradients of J = alpha*L_sim - beta*L_adv.
 
     ``stacked`` comes from ``_stack_batch``. Returns (L_sim, L_adv, embedder
@@ -203,7 +204,12 @@ def _batch_losses_and_grads(model, stacked, embedder=True, out=None):
     The embedder gradient is written into ``out`` (a vector of the
     embedder's size, whatever it holds) when it is given, else into a fresh
     vector: backward overwrites the trunk's slice and that of every head
-    with rows, and the slices of heads without rows are zeroed.
+    whose block of the trunk's input gradient has a nonzero entry. The
+    other heads' slices are zero-filled, bitwise what their backward would
+    give up to the sign of a zero: a head without rows, and a head whose
+    rows get no gradient. A pair head gets gradient only from L_sim, so it
+    gets none when the hinge is inactive on all its rows. When ``zero`` (a
+    list) is given, those slices are appended to it, for ``adam_step``.
     """
     b = len(stacked.at_i)
     alpha, beta, ell, m = (model.sim_weight, model.adv_weight,
@@ -228,17 +234,21 @@ def _batch_losses_and_grads(model, stacked, embedder=True, out=None):
     g_e[stacked.at_j] = (alpha * dsim_ej - beta * dadv_e[b:]) / b
     g_e[stacked.at_f] = alpha * dsim_ef / b
     g_embed = np.empty(model.embed_params.size) if out is None else out
-    with_rows = {key for key, _ in stacked.heads}
-    for key, sl in model.embed_slices.items():
-        if key != "trunk" and key not in with_rows:
-            g_embed[sl] = 0.0
     _, dh = model.trunk.backward(c_trunk, g_e,
                                  g_embed[model.embed_slices["trunk"]])
-    start = 0
+    ran, start = {"trunk"}, 0
     for (key, x), (head, c_head) in zip(stacked.heads, head_caches):
-        head.backward(c_head, dh[start:start + len(x)],
-                      g_embed[model.embed_slices[key]], input_grad=False)
+        dh_head = dh[start:start + len(x)]
         start += len(x)
+        if dh_head.any():
+            head.backward(c_head, dh_head, g_embed[model.embed_slices[key]],
+                          input_grad=False)
+            ran.add(key)
+    for key, sl in model.embed_slices.items():
+        if key not in ran:
+            g_embed[sl] = 0.0
+            if zero is not None:
+                zero.append(sl)
     return sim / b, adv / b, g_embed, None
 
 
@@ -258,13 +268,15 @@ def minimax_epoch(model, dataset, pairs, batch_size, t_steps, rng):
     for start in range(0, len(pairs), batch_size):
         stacked = _stack_batch(dataset, pairs[order[start:start + batch_size]])
         for _ in range(t_steps):
-            l_sim, l_adv, _, _ = _batch_losses_and_grads(model, stacked,
-                                                         out=embed_grads)
+            zero = []
+            l_sim, l_adv, _, _ = _batch_losses_and_grads(
+                model, stacked, out=embed_grads, zero=zero)
             if not math.isfinite(l_sim) or not math.isfinite(l_adv):
                 raise NumericalError(
                     f"non-finite loss in batch starting at pair {start}"
                 )
-            adam_step(model.embed_opt, model.embed_params, embed_grads)
+            adam_step(model.embed_opt, model.embed_params, embed_grads,
+                      zero=zero)
         l_sim, l_adv, _, cls_grads = _batch_losses_and_grads(
             model, stacked, embedder=False
         )

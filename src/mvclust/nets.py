@@ -207,15 +207,33 @@ class AdamState:
 # operation streams whole arrays, so over the reconciler's embedder (a
 # quarter-million parameters on six views) a single pass keeps missing the
 # cache and maps a fresh page-faulted scratch vector on every call. Slices
-# of 256 KiB per array cut its time there from 2.3 ms to 1.8 ms per step
-# (2-core x86-64 VM, numpy 2.4, one BLAS thread); slices of 16384 or 65536
-# elements were 4-9% slower, 8192 or 131072 slower still.
+# of 256 KiB per array were the fastest when chosen; a later sweep timed
+# 8192 to 65536 elements alike. A step with a full gradient over the
+# embedder's 256,800 parameters took 1.8-2.8 ms over several timeit runs
+# (best of 7-15; 2-core x86-64 VM, Python 3.11, numpy 2.4.6, one BLAS
+# thread), which is as far as that VM drifts.
 ADAM_CHUNK = 1 << 15
 # The largest gradient entry whose square is finite in float64.
 GRAD_LIMIT = math.sqrt(np.finfo(float).max)
 
 
-def adam_step(state, params, grads):
+def _adam_runs(size, zero):
+    """(start, stop, has_grad) runs that cover [0, size), adjacent runs of
+    one kind merged; ``zero`` is a sorted list of (start, stop) ranges whose
+    gradient is zero."""
+    runs, pos = [], 0
+    for start, stop in [*zero, (size, size)]:
+        for lo, hi, has_grad in ((pos, start, True), (start, stop, False)):
+            if lo == hi:
+                continue
+            if runs and runs[-1][1] == lo and runs[-1][2] == has_grad:
+                lo = runs.pop()[0]
+            runs.append((lo, hi, has_grad))
+        pos = stop
+    return runs
+
+
+def adam_step(state, params, grads, zero=()):
     """One bias-corrected Adam update, applied in place to ``params``.
 
     ``params`` and ``grads`` are vectors of one shape, normally a net's
@@ -231,11 +249,29 @@ def adam_step(state, params, grads):
     A gradient entry that is not finite or above sqrt(float64 max), whose
     square would send v to inf, raises NumericalError naming its index
     before anything is changed.
+
+    ``zero`` names slices of the vector (steps of 1, not overlapping) whose
+    gradient entries are all exactly zero. On a vector longer than
+    ``ADAM_CHUNK`` only the finiteness check reads them: there the moments
+    only decay, and the five passes that read the gradient are skipped. A
+    shorter vector takes the plain path, where the extra runs would cost
+    more than the skipped passes save. Adding (1-b1)*0 to m and
+    (1-b2)*0*0 to v changes no value, at most the sign of a zero, and no
+    update reads that sign: init_mlp writes no -0, and p - x is -0 only
+    for p = -0, so p - 0 and p - (-0) are both bitwise p. So the
+    parameters come out bitwise, and the moments as numbers, as from the
+    call without ``zero``.
     """
     if params.ndim != 1 or params.shape != grads.shape:
         raise ShapeError(f"parameters of shape {params.shape} vs "
                          f"gradients of shape {grads.shape}; both must be "
                          "vectors of one length")
+    if zero:
+        zero = sorted((sl.start, sl.stop) for sl in zero)
+        edges = [0, *(i for bounds in zero for i in bounds), params.size]
+        if any(a > b for a, b in zip(edges, edges[1:])):
+            raise ShapeError(f"zero slices {zero} overlap or leave a vector "
+                             f"of {params.size}")
     # a finite sum of squares clears every entry; else scan them exactly
     with np.errstate(over="ignore"):
         squares = np.dot(grads, grads)
@@ -256,22 +292,34 @@ def adam_step(state, params, grads):
     root = math.sqrt(1.0 - b2 ** t)
     step_size = state.learning_rate * root / (1.0 - b1 ** t)
     eps = ADAM_EPSILON * root
-    for start in range(0, params.size, ADAM_CHUNK):
-        chunk = slice(start, start + ADAM_CHUNK)
-        p, g, m, v = params[chunk], grads[chunk], state.m[chunk], state.v[chunk]
-        # twelve passes over one scratch vector
-        scratch = np.multiply(1.0 - b1, g)
-        m *= b1
-        m += scratch
-        np.multiply(1.0 - b2, g, out=scratch)
-        scratch *= g
-        v *= b2
-        v += scratch
-        np.sqrt(v, out=scratch)
-        scratch += eps
-        np.divide(m, scratch, out=scratch)
-        scratch *= step_size
-        p -= scratch
+    # on 9,760 parameters a call took 57 us plain and 68-79 us split into
+    # two or three runs (timeit, best of 7, on the VM named above)
+    runs = (_adam_runs(params.size, zero)
+            if zero and params.size > ADAM_CHUNK else [(0, params.size, True)])
+    for lo, hi, has_grad in runs:
+        for start in range(lo, hi, ADAM_CHUNK):
+            chunk = slice(start, min(start + ADAM_CHUNK, hi))
+            p, m, v = params[chunk], state.m[chunk], state.v[chunk]
+            if has_grad:
+                # twelve passes over one scratch vector
+                g = grads[chunk]
+                scratch = np.multiply(1.0 - b1, g)
+                m *= b1
+                m += scratch
+                np.multiply(1.0 - b2, g, out=scratch)
+                scratch *= g
+                v *= b2
+                v += scratch
+                np.sqrt(v, out=scratch)
+            else:
+                # seven: the five that read the gradient are skipped
+                m *= b1
+                v *= b2
+                scratch = np.sqrt(v)
+            scratch += eps
+            np.divide(m, scratch, out=scratch)
+            scratch *= step_size
+            p -= scratch
 
 
 @dataclass

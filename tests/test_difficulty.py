@@ -16,9 +16,10 @@ from mvclust.difficulty import (ReconcilerModel, assign_difficulty,
                                 _batch_losses_and_grads, _hinge,
                                 _stack_batch, train_reconciler)
 from mvclust.errors import DataError
-from mvclust.nets import Net, binary_log_likelihood, clamp_prob
+from mvclust.nets import Net, adam_step, binary_log_likelihood, clamp_prob
 
-from conftest import embed_rows, rel_err
+from conftest import (assert_grads_close, embed_rows, numerical_grads,
+                      rel_err)
 
 
 def partition_from_distances(distances, k, anchor=0):
@@ -669,3 +670,101 @@ def test_stacked_pass_leaves_heads_without_rows_at_zero():
     for key, sl in model.embed_slices.items():
         empty = key in (3, (0, 3), (1, 2), (1, 3), (2, 3))
         assert (g_embed[sl] == 0.0).all() == empty, key
+
+
+# --- heads whose gradient is exactly zero --------------------------------------
+
+def test_pair_head_with_an_inactive_hinge_runs_no_backward(monkeypatch):
+    # a pair head gets gradient only from L_sim, so when the hinge is
+    # inactive on all its rows its slice is zero-filled, not backpropagated
+    ds, _, pairs = many_view_setup(4)
+    # seed 14 keeps every relu and the hinge away from their kinks
+    model = build_reconciler([v.shape[1] for v in ds.views],
+                             np.random.default_rng(14), embed_width=6,
+                             head_width=7)
+    embedded = embed_pairs(model, ds, pairs)
+    diff_i = embedded.e_f - embedded.e_i
+    diff_j = embedded.e_f - embedded.e_j
+    s = model.margin + (diff_i ** 2).sum(1) - (diff_j ** 2).sum(1)
+    group = (embedded.pairs[:, 1:] == (0, 1)).all(axis=1)
+    quiet = embedded.pairs[group & (s < -1e-3)][:4]
+    live = embedded.pairs[~group & (s > 1e-3)][:8]
+    assert len(quiet) == 4 and len(live) == 8
+    stacked = _stack_batch(ds, np.concatenate([quiet, live]))
+    with_rows = {key for key, _ in stacked.heads}
+    assert (0, 1) in with_rows
+
+    names = {id(net): key for key, net in
+             (("trunk", model.trunk), ("classifier", model.classifier),
+              *model.view_heads.items(), *model.pair_heads.items())}
+    counts = Counter()
+    backward = Net.backward
+
+    def counted(net, *args, **kwargs):
+        counts[names[id(net)]] += 1
+        return backward(net, *args, **kwargs)
+
+    monkeypatch.setattr(Net, "backward", counted)
+    zero = []
+    _, _, g_embed, _ = _batch_losses_and_grads(model, stacked, zero=zero)
+    ran = with_rows - {(0, 1)}
+    assert counts == Counter({"trunk": 1, "classifier": 1,
+                              **{key: 1 for key in ran}})
+    assert sorted(sl.start for sl in zero) == sorted(
+        sl.start for key, sl in model.embed_slices.items()
+        if key not in ran | {"trunk"})
+    assert (g_embed[model.embed_slices[(0, 1)]] == 0.0).all()
+
+    # the skipped backward leaves the gradient what the per-group loop and
+    # finite differences give
+    monkeypatch.undo()
+    _assert_matches_reference(model, ds, np.concatenate([quiet, live]))
+    alpha, beta = model.sim_weight, model.adv_weight
+
+    def j_value():
+        l_sim, l_adv, _, _ = _batch_losses_and_grads(model, stacked)
+        return alpha * l_sim - beta * l_adv
+
+    assert_grads_close([g_embed], numerical_grads(j_value, [model.embed_params]))
+
+
+def _ref_minimax_epoch(model, ds, pairs, batch_size, t_steps, rng):
+    """``minimax_epoch`` with plain Adam calls on the full gradient."""
+    order = rng.permutation(len(pairs))
+    for start in range(0, len(pairs), batch_size):
+        stacked = _stack_batch(ds, pairs[order[start:start + batch_size]])
+        for _ in range(t_steps):
+            g_embed = _batch_losses_and_grads(model, stacked)[2]
+            adam_step(model.embed_opt, model.embed_params, g_embed)
+        g_cls = _batch_losses_and_grads(model, stacked, embedder=False)[3]
+        adam_step(model.cls_opt, model.classifier.params.flat, g_cls)
+
+
+def test_minimax_epochs_that_skip_zero_slices_match_plain_adam(monkeypatch):
+    # Adam skips zero slices only on a vector longer than ADAM_CHUNK; this
+    # embedder has 11,488 parameters, so the chunk is shrunk to 1024
+    monkeypatch.setattr("mvclust.nets.ADAM_CHUNK", 1 << 10)
+    ds, _, pairs = many_view_setup(4)
+    model, ref = (build_reconciler([v.shape[1] for v in ds.views],
+                                   np.random.default_rng(13),
+                                   learning_rate=1e-2) for _ in range(2))
+    paths = Counter()
+
+    def recorded(state, params, grads, zero=()):
+        for sl in zero:
+            paths["once live" if state.m is not None and state.m[sl].any()
+                  else "never live"] += 1
+        adam_step(state, params, grads, zero=zero)
+
+    monkeypatch.setattr(difficulty, "adam_step", recorded)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(3):
+        minimax_epoch(model, ds, pairs, 8, 2, rng)
+        _ref_minimax_epoch(ref, ds, pairs, 8, 2, ref_rng)
+    assert paths["once live"] > 0 and paths["never live"] > 0
+    assert model.embed_params.tobytes() == ref.embed_params.tobytes()
+    assert (model.classifier.params.flat.tobytes()
+            == ref.classifier.params.flat.tobytes())
+    for got, want in ((model.embed_opt.m, ref.embed_opt.m),
+                      (model.embed_opt.v, ref.embed_opt.v)):
+        np.testing.assert_array_equal(got, want)
