@@ -142,15 +142,15 @@ class _StackedBatch:
     batch order. ``heads`` holds (head key, input rows) for each head that
     has rows: the view heads in view order, each with its view's members in
     ``pairs`` order, then the pair heads with their fused rows. The trunk
-    runs over the head outputs stacked in that order, and ``at_i``, ``at_j``
-    and ``at_f`` index each pair's e_i, e_j and e_f rows there.
+    runs over the head outputs stacked in that order: ``at_i`` and ``at_j``
+    index each pair's e_i and e_j rows there, and the pairs' e_f rows are
+    the trailing block, in ``pairs`` order.
     """
 
     pairs: np.ndarray
     heads: list
     at_i: np.ndarray
     at_j: np.ndarray
-    at_f: np.ndarray
 
 
 def _stack_batch(dataset, pairs):
@@ -171,8 +171,7 @@ def _stack_batch(dataset, pairs):
     for lo, hi in zip(cut, cut[1:]):
         i, j = pairs[lo, 1:].tolist()
         heads.append(((i, j), np.hstack([views[i][ks[lo:hi]], views[j][ks[lo:hi]]])))
-    return _StackedBatch(pairs, heads, at[0::2], at[1::2],
-                         len(rows) + np.arange(len(pairs)))
+    return _StackedBatch(pairs, heads, at[0::2], at[1::2])
 
 
 def _embed(model, stacked):
@@ -216,7 +215,7 @@ def _batch_losses_and_grads(model, stacked, embedder=True, out=None,
                            model.pseudo_label, model.margin)
     e, head_caches, c_trunk = _embed(model, stacked)
     e_i, e_j = e[stacked.at_i], e[stacked.at_j]
-    sim, dsim_ei, dsim_ef, dsim_ej = _hinge(e_i, e[stacked.at_f], e_j, m)
+    sim, dsim_ei, dsim_ef, dsim_ej = _hinge(e_i, e[2 * b:], e_j, m)
 
     p, c_cls = model.classifier.forward(np.concatenate([e_i, e_j]))
     sum_i, sum_j, dadv_pi, dadv_pj = binary_log_likelihood(p[:b], p[b:], ell)
@@ -232,7 +231,7 @@ def _batch_losses_and_grads(model, stacked, embedder=True, out=None,
     g_e = np.empty_like(e)
     g_e[stacked.at_i] = (alpha * dsim_ei - beta * dadv_e[:b]) / b
     g_e[stacked.at_j] = (alpha * dsim_ej - beta * dadv_e[b:]) / b
-    g_e[stacked.at_f] = alpha * dsim_ef / b
+    g_e[2 * b:] = alpha * dsim_ef / b
     g_embed = np.empty(model.embed_params.size) if out is None else out
     _, dh = model.trunk.backward(c_trunk, g_e,
                                  g_embed[model.embed_slices["trunk"]])
@@ -312,7 +311,7 @@ def embed_pairs(model, dataset, pairs):
     stacked = _stack_batch(dataset, pairs)
     e = _embed(model, stacked)[0]
     return PairEmbedding(stacked.pairs, e[stacked.at_i], e[stacked.at_j],
-                         e[stacked.at_f])
+                         e[2 * len(pairs):])
 
 
 def resolve_labels(model, labels, embedded):

@@ -219,23 +219,19 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
             z_full[selected] = fuse_subspace(z_views)
 
         order = rng.permutation(len(selected))
-        ae_sums = np.zeros(n_views)
-        adv_sums = np.zeros((n_views, 2))   # discriminator value, generator value
-        n_batches = 0
-        for start in range(0, len(selected), batch_size):
+        # per view: reconstruction loss, discriminator value, generator value
+        sums = np.zeros((n_views, 3))
+        starts = range(0, len(selected), batch_size)   # no batch is empty
+        for batch, start in enumerate(starts, 1):
             idx = selected[order[start:start + batch_size]]
-            if idx.size == 0:
-                continue
-            n_batches += 1
             xs = [view[idx] for view in dataset.views]
             if gate_open:
                 # encoder v changes only in view v's own update below, so
-                # views after the first are encoded once up front, for the
-                # fusion and for their own update, and every view again
-                # right after its update: 2V encoder passes per batch
-                encoded = [None] + [model.views[v].encoder.forward(xs[v])
-                                    for v in range(1, n_views)]
-                z_batch = [None] + [z for z, _ in encoded[1:]]
+                # every view is encoded once up front, for the fusion and for
+                # its own update, and again right after its update: 2V
+                # encoder passes per batch
+                encoded = [vn.encoder.forward(x) for vn, x in zip(model.views, xs)]
+                z_batch = [z for z, _ in encoded]
             for i in range(n_views):
                 vn = model.views[i]
                 opt = opts[i]
@@ -245,31 +241,31 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
                                                       n_views, encoded[i])
                 else:
                     loss, g_enc, g_gen = ae_loss_closed(vn, x)
-                _check_finite(loss, "reconstruction loss", epoch, n_batches)
+                _check_finite(loss, "reconstruction loss", epoch, batch)
                 adam_step(opt.encoder, vn.encoder.params.flat, g_enc)
                 adam_step(opt.generator, vn.generator.params.flat, g_gen)
-                ae_sums[i] += loss
+                sums[i, 0] += loss
 
                 # discriminator vs self-reconstruction; once the gate is
                 # open, refresh the fused rows for this batch and play the
                 # common-subspace round as well
                 z_i = vn.encoder.forward(x)[0]
-                adv_sums[i] += _gan_round(vn, opt, x, z_i, epoch, n_batches)
+                sums[i, 1:] += _gan_round(vn, opt, x, z_i, epoch, batch)
                 if gate_open:
                     z_batch[i] = z_i
                     z_full[idx] = fuse_subspace(z_batch)
-                    adv_sums[i] += _gan_round(vn, opt, x, z_full[idx],
-                                              epoch, n_batches)
+                    sums[i, 1:] += _gan_round(vn, opt, x, z_full[idx],
+                                              epoch, batch)
 
-        denom = max(n_batches, 1)
+        means = sums / max(len(starts), 1)
         rows.append({
             "epoch": epoch,
             "lambda": lam,
             "mask_size": int(len(selected)),
             "gate": int(gate_open),
-            "ae_loss": (ae_sums / denom).tolist(),
-            "disc_value": (adv_sums[:, 0] / denom).tolist(),
-            "gen_value": (adv_sums[:, 1] / denom).tolist(),
+            "ae_loss": means[:, 0].tolist(),
+            "disc_value": means[:, 1].tolist(),
+            "gen_value": means[:, 2].tolist(),
         })
 
     if gate_opened_epoch < 0:
@@ -292,19 +288,16 @@ def write_training_log(rows, path):
     """Per-epoch CSV: epoch, pace, mask size, gate, per-view losses."""
     if not rows:
         return
+    series = ("ae_loss", "disc_value", "gen_value")
     n_views = len(rows[0]["ae_loss"])
     cols = ["epoch", "lambda", "mask_size", "gate"]
-    cols += [f"ae_loss_v{i}" for i in range(n_views)]
-    cols += [f"disc_value_v{i}" for i in range(n_views)]
-    cols += [f"gen_value_v{i}" for i in range(n_views)]
+    cols += [f"{name}_v{i}" for name in series for i in range(n_views)]
     with replacing(path) as fh:
         fh.write(",".join(cols) + "\n")
         for r in rows:
             cells = [str(r["epoch"]), f"{r['lambda']:.12g}",
                      str(r["mask_size"]), str(r["gate"])]
-            cells += [f"{v:.12g}" for v in r["ae_loss"]]
-            cells += [f"{v:.12g}" for v in r["disc_value"]]
-            cells += [f"{v:.12g}" for v in r["gen_value"]]
+            cells += [f"{v:.12g}" for name in series for v in r[name]]
             fh.write(",".join(cells) + "\n")
 
 

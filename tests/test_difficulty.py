@@ -188,8 +188,9 @@ def test_stacked_rows_are_each_pairs_member_features(data):
     for v, x in stacked.heads[:-len(groups)]:
         assert x.tolist() == [ds.views[v][k].tolist() for k, i, j in want
                               if v in (i, j)]
-    at = np.concatenate([stacked.at_i, stacked.at_j, stacked.at_f])
-    assert sorted(at.tolist()) == list(range(3 * b))
+    # e_i and e_j rows fill the leading 2b rows, e_f rows the trailing b
+    at = np.concatenate([stacked.at_i, stacked.at_j])
+    assert sorted(at.tolist()) == list(range(2 * b))
     owner, rows = [], []   # the head key and input row of each stacked row
     for head, x in stacked.heads:
         owner += [head] * len(x)
@@ -197,7 +198,7 @@ def test_stacked_rows_are_each_pairs_member_features(data):
     for t, (k, i, j) in enumerate(stacked.pairs.tolist()):
         for r, head, x in ((stacked.at_i[t], i, ds.views[i][k]),
                            (stacked.at_j[t], j, ds.views[j][k]),
-                           (stacked.at_f[t], (i, j),
+                           (2 * b + t, (i, j),
                             np.concatenate([ds.views[i][k], ds.views[j][k]]))):
             assert owner[r] == head
             np.testing.assert_array_equal(rows[r], x)

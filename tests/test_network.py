@@ -242,8 +242,8 @@ def test_adversarial_values_and_fake_gradient_are_bitwise_references(
     assert d_fake.tobytes() == want.tobytes()
 
 
-def blob_dataset(tmp_path, n=200, noise=0.1, seed=0):
-    man = make_synthetic(str(tmp_path), 3, n, views=2, noise=noise, seed=seed)
+def blob_dataset(tmp_path, n=200, noise=0.1, seed=0, views=2):
+    man = make_synthetic(str(tmp_path), 3, n, views=views, noise=noise, seed=seed)
     return load_manifest(man)
 
 
@@ -281,7 +281,7 @@ def test_train_loss_decreases_and_gate_opens(tmp_path, rng):
 
 
 def test_training_log_written(tmp_path, rng):
-    ds = blob_dataset(tmp_path, n=100)
+    ds = blob_dataset(tmp_path, n=100, views=3)
     model = build_model([v.shape[1] for v in ds.views], 4, rng, hidden=(8,))
     sched = PaceSchedule(max_epochs=3)
     before = sorted(tmp_path.iterdir())
@@ -291,7 +291,10 @@ def test_training_log_written(tmp_path, rng):
     write_training_log(result.log_rows, str(log_path))
     lines = log_path.read_text().strip().splitlines()
     assert len(lines) == 4
-    assert lines[0].startswith("epoch,lambda,mask_size,gate")
+    assert lines[0] == ("epoch,lambda,mask_size,gate,"
+                        "ae_loss_v0,ae_loss_v1,ae_loss_v2,"
+                        "disc_value_v0,disc_value_v1,disc_value_v2,"
+                        "gen_value_v0,gen_value_v1,gen_value_v2")
 
 
 # --- open-gate latent cache against a loop that re-encodes every view ---------
@@ -375,14 +378,14 @@ def test_open_batch_encodes_each_view_twice():
                         np.random.default_rng(0), hidden=(6,))
     calls = []
 
-    def counted(forward):
+    def counted(v, forward):
         def wrapper(x):
-            calls.append(len(x))
+            calls.append(v)
             return forward(x)
         return wrapper
 
-    for vn in model.views:
-        vn.encoder.forward = counted(vn.encoder.forward)
+    for v, vn in enumerate(model.views):
+        vn.encoder.forward = counted(v, vn.encoder.forward)
     probs = np.ones(ds.n)
     for unselected in (0, 5):
         probs[:unselected] = 0.5                # below the pace of 1.0
@@ -394,12 +397,16 @@ def test_open_batch_encodes_each_view_twice():
         batches = -(-result.log_rows[0]["mask_size"] // 16)
         assert batches == 3
         # one fusion of the selected set per view and 2V encoder passes per
-        # open batch (views after the first up front, whose result their
-        # update reuses, and every view after its update); the export-time
-        # encode of every row, once per view, runs only when some rows were
-        # never selected
+        # open batch (every view up front, in view order, whose result its
+        # update reuses, and every view again after its update); the
+        # export-time encode of every row, once per view, runs only when
+        # some rows were never selected
         export = n_views if unselected else 0
         assert len(calls) == n_views + batches * 2 * n_views + export
+        views = list(range(n_views))
+        for b in range(batches):
+            first = n_views + b * 2 * n_views
+            assert calls[first:first + 2 * n_views] == views + views
         fused = fuse_subspace([vn.encoder.forward(view)[0]
                                for vn, view in zip(model.views, ds.views)])
         assert result.z[:unselected].tobytes() == fused[:unselected].tobytes()

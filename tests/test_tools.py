@@ -1,13 +1,14 @@
 """The scripts under tools/, run as a user runs them."""
 
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "tools")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOLS = os.path.join(ROOT, "tools")
 
 
 @pytest.mark.parametrize("seed", ["abc", "-1"])
@@ -19,3 +20,26 @@ def test_output_hashes_rejects_a_bad_seed_with_its_usage_line(seed):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "usage: output_hashes.py <workload> <seed>...\n"
+
+
+def test_a_failing_property_test_reports_its_falsifying_example(tmp_path):
+    # pytest with this checkout's settings, where warnings are errors: a
+    # failing @given test must come out as a test failure with its example,
+    # not as an INTERNALERROR raised from a plugin hook
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp_path)
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 5\n")
+    before = sorted(os.listdir(ROOT))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "FAILED test_property.py::test_small" in proc.stdout
+    assert "Falsifying example: test_small(" in proc.stdout
+    assert sorted(os.listdir(ROOT)) == before
