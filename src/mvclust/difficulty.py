@@ -4,8 +4,9 @@ Each view labels every sample easy (0) or difficult (1) from its distance to
 the anchor. Views disagree; a minimax game between a shared feature embedder
 and a binary classifier settles the disagreements: the classifier learns to
 tell the two members of an inconsistent pair apart while the embedder pulls
-them (and their fused concatenation) toward a common representation. The
-trained classifier's verdict on the fused sample becomes the shared label.
+them (and their fused concatenation) toward a common representation. Each
+sample in a disagreement takes the mean of the trained classifier's verdicts
+on its fused pairs as its shared label.
 """
 
 import math
@@ -315,22 +316,16 @@ def embed_pairs(model, dataset, pairs):
 
 
 def resolve_labels(model, labels, embedded):
-    """Replace every cross-view disagreement in the (V, n) label matrix with
-    the classifier's verdict on the fused pair (>= 0.5 means difficult),
-    given ``embed_pairs`` over ``collect_inconsistent(labels)``. Returns a
-    consistent copy."""
+    """Settle every cross-view disagreement in the (V, n) label matrix, given
+    ``embed_pairs`` over ``collect_inconsistent(labels)``: in every view, a
+    sample with fused pairs takes the mean of the classifier's clamped
+    verdicts on them (>= 0.5 means difficult), whatever view pair carries
+    which verdict. Returns a consistent copy."""
     labels = labels.copy()
-    ks, vi, vj = embedded.pairs.T
+    ks, n = embedded.pairs[:, 0], labels.shape[1]
     p = clamp_prob(model.classifier.forward(embedded.e_f)[0][:, 0])
-    # write view pair after view pair: from 4 views up, a later pair's
-    # verdict can overwrite an earlier one's
-    for i, j in zip(*np.triu_indices(len(labels), 1)):
-        group = (vi == i) & (vj == j)
-        labels[i, ks[group]] = labels[j, ks[group]] = p[group] >= 0.5
-    # With 3+ views, the pair verdicts can leave a sample mixed; fall back to
-    # the mean verdict over all its fused pairs, in view-pair order.
-    for k in np.flatnonzero((labels != labels[0]).any(axis=0)).tolist():
-        labels[:, k] = 1 if np.mean(p[ks == k]) >= 0.5 else 0
+    mean = np.bincount(ks, p, n)[ks] / np.bincount(ks, minlength=n)[ks]
+    labels[:, ks] = mean >= 0.5
     return labels
 
 

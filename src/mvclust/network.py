@@ -213,7 +213,8 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
             gate_opened_epoch = epoch
 
         if gate_open:
-            # fuse the whole selected set before the batch sweep
+            # fuse the whole selected set before the batch sweep: view 0's
+            # reconstruction reads it (the batch's own fusion fails criterion 8)
             z_views = [model.views[i].encoder.forward(dataset.views[i][selected])[0]
                        for i in range(n_views)]
             z_full[selected] = fuse_subspace(z_views)

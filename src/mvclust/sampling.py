@@ -70,8 +70,10 @@ def compute_probabilities(labels, partitions):
 
 @dataclass
 class PaceSchedule:
-    """Start by selecting ~initial_fraction of the samples; reach all of them
-    at full_inclusion_epoch_fraction of the way through training."""
+    """Start by selecting ~initial_fraction of the samples. The pace falls
+    to 0, which selects all of them, at epoch full_inclusion_epoch_fraction *
+    max_epochs. Epochs run 0 ... max_epochs - 1, so when that epoch is later
+    (a fraction of 1, or max_epochs <= 4 at 0.8) none reaches 0 (ROADMAP 13)."""
 
     max_epochs: int
     initial_fraction: float = 0.05

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from mvclust import difficulty, network
 from mvclust.data import MultiViewDataset, NeighborPartition, build_partition
-from mvclust.difficulty import (ReconcilerModel, assign_difficulty,
+from mvclust.difficulty import (PairEmbedding, ReconcilerModel, assign_difficulty,
                                 assignment_from_partitions, build_reconciler,
                                 classifier_agreement_rate, collect_inconsistent,
                                 embed_pairs, export_difficulty, minimax_epoch,
@@ -349,6 +350,69 @@ def test_three_view_resolution_is_total(rng):
     assert len(collect_inconsistent(resolved)) == 0
 
 
+def _verdicts(pairs, p):
+    """A model whose classifier reads each fused pair's verdict off its e_f
+    row, and a ``PairEmbedding`` of ``pairs`` that gives pair t verdict p[t]."""
+    e = np.asarray(p, dtype=float).reshape(-1, 1)
+    model = SimpleNamespace(classifier=SimpleNamespace(forward=lambda x: (x, None)))
+    return model, PairEmbedding(pairs, e, e, e)
+
+
+@pytest.mark.parametrize("strong", [(0, 2), (0, 3), (1, 2), (1, 3)])
+def test_two_against_two_takes_the_mean_verdict_wherever_it_sits(strong):
+    # the sample's four fused pairs score 0.9 (on ``strong``), 0.4, 0.4, 0.4:
+    # their mean, 0.525, makes it difficult in every view
+    labels = np.array([[0], [0], [1], [1]])
+    pairs = collect_inconsistent(labels)
+    assert pairs[:, 1:].tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
+    model, embedded = _verdicts(
+        pairs, [0.9 if (i, j) == strong else 0.4 for _, i, j in pairs.tolist()])
+    np.testing.assert_array_equal(resolve_labels(model, labels, embedded),
+                                  np.ones((4, 1), dtype=int))
+
+
+def _pair_by_pair(labels, pairs, p):
+    """The rule before the mean: each pair's verdict written over both its
+    labels, view pair after view pair, then the mean verdict for a sample
+    the writes leave mixed. The reference only where one view disagrees
+    with all the others, the case on which the two rules agree."""
+    labels = labels.copy()
+    for (k, i, j), verdict in zip(pairs.tolist(), p.tolist()):
+        labels[i, k] = labels[j, k] = int(verdict >= 0.5)
+    for k in np.flatnonzero((labels != labels[0]).any(axis=0)).tolist():
+        labels[:, k] = int(np.mean(p[pairs[:, 0] == k]) >= 0.5)
+    return labels
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_each_paired_sample_takes_its_mean_verdict(data):
+    labels = data.draw(label_matrices())
+    views, n = labels.shape
+    pairs = collect_inconsistent(labels)
+    pairs = pairs[np.lexsort((pairs[:, 2], pairs[:, 1]))]   # as embed_pairs
+    p = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs),
+                                    max_size=len(pairs))), dtype=float)
+    model, embedded = _verdicts(pairs, p)
+    resolved = resolve_labels(model, labels, embedded)
+    assert len(collect_inconsistent(resolved)) == 0
+    # the clamped verdicts added in pair-table order, one at a time
+    clamped = clamp_prob(p)
+    total, count = np.zeros(n), np.zeros(n, dtype=int)
+    for k, verdict in zip(pairs[:, 0].tolist(), clamped.tolist()):
+        total[k] += verdict
+        count[k] += 1
+    paired = count > 0
+    np.testing.assert_array_equal(resolved[:, ~paired], labels[:, ~paired])
+    np.testing.assert_array_equal(resolved[0, paired],
+                                  total[paired] / count[paired] >= 0.5)
+    # one view against the rest: as the pair-by-pair writes and fallback
+    ones = labels.sum(axis=0)
+    lone = paired & ((ones == 1) | (ones == views - 1))
+    np.testing.assert_array_equal(resolved[:, lone],
+                                  _pair_by_pair(labels, pairs, clamped)[:, lone])
+
+
 def test_export_difficulty(tmp_path):
     ds, parts, labels, pairs = toy_inconsistent_setup()
     path = tmp_path / "difficulty.csv"
@@ -444,19 +508,17 @@ def _ref_embed(model, ds, k, i, j):
 
 
 def _ref_resolve(model, ds, labels):
-    """Labels written pair by pair in pair order, then the mean-verdict
-    fallback for samples left mixed. Returns (labels, fallback samples)."""
+    """Each sample with pairs takes, in every view, the mean of its fused
+    pairs' verdicts, added one pair at a time in pair-table order."""
     labels = labels.copy()
-    verdicts = []
-    for k, i, j in collect_inconsistent(labels):
+    total, count = Counter(), Counter()
+    for k, i, j in collect_inconsistent(labels).tolist():
         e_f = _ref_embed(model, ds, k, i, j)[1]
-        p = clamp_prob(model.classifier.forward(e_f)[0])
-        verdicts.append((k, float(p[0, 0])))
-        labels[i, k] = labels[j, k] = int(p[0, 0] >= 0.5)
-    mixed = sorted(set(collect_inconsistent(labels)[:, 0].tolist()))
-    for k in mixed:
-        labels[:, k] = int(np.mean([p for kk, p in verdicts if kk == k]) >= 0.5)
-    return labels, mixed
+        total[k] += float(clamp_prob(model.classifier.forward(e_f)[0])[0, 0])
+        count[k] += 1
+    for k in count:
+        labels[:, k] = int(total[k] / count[k] >= 0.5)
+    return labels
 
 
 def _ref_direction_rate(model, ds, pairs):
@@ -478,8 +540,8 @@ def _ref_agreement_rate(model, ds, pairs):
 
 
 def many_view_setup(views, n=60):
-    """Views of 3, 4, 5, ... features on which, with the reconciler below,
-    some samples reach the mean-verdict fallback."""
+    """Views of 3, 4, 5, ... features whose labels leave some samples with
+    several fused pairs."""
     rng = np.random.default_rng(0)
     ds = MultiViewDataset([rng.normal(size=(n, 3 + v)) for v in range(views)])
     parts = [build_partition(ds, v, 0, n // 2) for v in range(views)]
@@ -493,13 +555,12 @@ def test_batched_pair_passes_match_per_pair_references(views):
         ds, _, labels, pairs = toy_inconsistent_setup()
     else:
         ds, labels, pairs = many_view_setup(views)
+        assert np.bincount(pairs[:, 0]).max() > 1
     model = build_reconciler([v.shape[1] for v in ds.views],
                              np.random.default_rng(13), learning_rate=1e-3)
     train_reconciler(model, ds, pairs, epochs=5, batch_size=16, t_steps=2, seed=2)
 
-    ref_labels, mixed = _ref_resolve(model, ds, labels)
-    if views > 2:
-        assert mixed, "the set must reach the mean-verdict fallback"
+    ref_labels = _ref_resolve(model, ds, labels)
     embedded = embed_pairs(model, ds, pairs)
     np.testing.assert_array_equal(resolve_labels(model, labels, embedded),
                                   ref_labels)
