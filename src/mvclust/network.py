@@ -81,14 +81,13 @@ def ae_loss_closed(view_nets, x):
     return loss, g_enc, g_gen
 
 
-def ae_loss_open(view_nets, x, z_common, n_views, encoded=None):
+def ae_loss_open(view_nets, x, z_common, n_views, encoded):
     """Open-state reconstruction: the view reconstructs itself, reconstructs
     from the common subspace, and keeps its latent near the common one.
 
     ||x - G(E(x))||^2 + (1/V)(||x - G(Z)||^2 + ||E(x) - Z||^2), batch mean.
     Z rows are treated as constants for this step. ``encoded`` is the
-    encoder's (output, cache) on ``x`` when the caller already has it, which
-    spares the encoder pass here.
+    encoder's (output, cache) on ``x``, the caller's encoder pass.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z_common = np.atleast_2d(np.asarray(z_common, dtype=float))
@@ -96,7 +95,7 @@ def ae_loss_open(view_nets, x, z_common, n_views, encoded=None):
         raise ShapeError("common-subspace rows do not match the batch")
     b = x.shape[0]
     lam = 1.0 / n_views
-    z_i, cache_e = view_nets.encoder.forward(x) if encoded is None else encoded
+    z_i, cache_e = encoded
     x_hat, cache_g1 = view_nets.generator.forward(z_i)
     x_tilde, cache_g2 = view_nets.generator.forward(z_common)
     r_hat = x_hat - x
@@ -204,6 +203,10 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
     gate_opened_epoch = -1
     rows = []
 
+    def fused(xs):      # one block of rows, xs[v] in view v, encoded and fused
+        return fuse_subspace([vn.encoder.forward(x)[0]
+                              for vn, x in zip(model.views, xs)])
+
     for epoch in range(schedule.max_epochs):
         lam = pace_value(schedule, epoch, averaged_probs)
         mask = selection_mask(averaged_probs, lam)
@@ -215,9 +218,7 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
         if gate_open:
             # fuse the whole selected set before the batch sweep: view 0's
             # reconstruction reads it (the batch's own fusion fails criterion 8)
-            z_views = [model.views[i].encoder.forward(dataset.views[i][selected])[0]
-                       for i in range(n_views)]
-            z_full[selected] = fuse_subspace(z_views)
+            z_full[selected] = fused([view[selected] for view in dataset.views])
 
         order = rng.permutation(len(selected))
         # per view: reconstruction loss, discriminator value, generator value
@@ -233,12 +234,13 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
                 # encoder passes per batch
                 encoded = [vn.encoder.forward(x) for vn, x in zip(model.views, xs)]
                 z_batch = [z for z, _ in encoded]
+                z_common = z_full[idx]      # epoch-start rows, for view 0
             for i in range(n_views):
                 vn = model.views[i]
                 opt = opts[i]
                 x = xs[i]
                 if gate_open:
-                    loss, g_enc, g_gen = ae_loss_open(vn, x, z_full[idx],
+                    loss, g_enc, g_gen = ae_loss_open(vn, x, z_common,
                                                       n_views, encoded[i])
                 else:
                     loss, g_enc, g_gen = ae_loss_closed(vn, x)
@@ -248,15 +250,16 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
                 sums[i, 0] += loss
 
                 # discriminator vs self-reconstruction; once the gate is
-                # open, refresh the fused rows for this batch and play the
-                # common-subspace round as well
+                # open, fuse the batch again, for this view's common-subspace
+                # round and the next view's reconstruction
                 z_i = vn.encoder.forward(x)[0]
                 sums[i, 1:] += _gan_round(vn, opt, x, z_i, epoch, batch)
                 if gate_open:
                     z_batch[i] = z_i
-                    z_full[idx] = fuse_subspace(z_batch)
-                    sums[i, 1:] += _gan_round(vn, opt, x, z_full[idx],
-                                              epoch, batch)
+                    z_common = fuse_subspace(z_batch)
+                    sums[i, 1:] += _gan_round(vn, opt, x, z_common, epoch, batch)
+            if gate_open:
+                z_full[idx] = z_common
 
         means = sums / max(len(starts), 1)
         rows.append({
@@ -274,13 +277,9 @@ def train(model, dataset, averaged_probs, schedule, batch_size=64,
 
     # export-time fill of the rows no open epoch fused: the pace never rises,
     # so the last epoch's selection holds every earlier one
-    if gate_opened_epoch < 0 or len(selected) < n:
-        fused_now = fuse_subspace([model.views[i].encoder.forward(dataset.views[i])[0]
-                                   for i in range(n_views)])
-        if gate_opened_epoch < 0:
-            z_full = fused_now
-        else:
-            z_full[mask == 0] = fused_now[mask == 0]
+    unfused = (mask == 0) | (gate_opened_epoch < 0)
+    if unfused.any():
+        z_full[unfused] = fused(dataset.views)[unfused]
 
     return TrainResult(z_full, rows, gate_opened_epoch)
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,7 @@ def test_ae_open_reduces_to_closed_when_z_matches(rng):
     closed, _, _ = ae_loss_closed(vn, x)
     x_hat, _ = vn.generator.forward(z_i)
     recon = float(((x - x_hat) ** 2).sum() / len(x))
-    open_loss, _, _ = ae_loss_open(vn, x, z_i, n_views=2)
+    open_loss, _, _ = ae_loss_open(vn, x, z_i, 2, vn.encoder.forward(x))
     assert abs(open_loss - (closed + 0.5 * recon)) < 1e-10
 
 
@@ -99,7 +101,7 @@ def test_ae_open_matches_straightline(rng):
     x = rng.normal(size=(3, 4))
     z = rng.normal(size=(3, 3))
     v = 2
-    loss, _, _ = ae_loss_open(vn, x, z, n_views=v)
+    loss, _, _ = ae_loss_open(vn, x, z, v, vn.encoder.forward(x))
     z_i, _ = vn.encoder.forward(x)
     x_hat, _ = vn.generator.forward(z_i)
     x_tilde, _ = vn.generator.forward(z)
@@ -118,10 +120,10 @@ def test_ae_open_gradients_match_fd(rng):
     x = rng.normal(size=(3, 4))
     z = rng.normal(size=(3, 3))
 
-    def loss():
-        return ae_loss_open(vn, x, z, n_views=2)[0]
+    def loss():     # encodes inside, so the encoder's gradient is checked
+        return ae_loss_open(vn, x, z, 2, vn.encoder.forward(x))[0]
 
-    _, g_enc, g_gen = ae_loss_open(vn, x, z, n_views=2)
+    _, g_enc, g_gen = ae_loss_open(vn, x, z, 2, vn.encoder.forward(x))
     flats = [vn.encoder.params.flat, vn.generator.params.flat]
     assert_grads_close([g_enc, g_gen], numerical_grads(loss, flats))
 
@@ -201,14 +203,27 @@ def test_adversarial_losses_rejects_an_empty_batch(rng, b_real, b_fake):
                            rng.normal(size=(b_fake, 4)))
 
 
+def test_ae_open_rejects_common_rows_that_do_not_match_the_batch(rng):
+    vn = build_model([4], 3, rng, hidden=(5,)).views[0]
+    x = rng.normal(size=(3, 4))
+    with pytest.raises(ShapeError,
+                       match="^common-subspace rows do not match the batch$"):
+        ae_loss_open(vn, x, rng.normal(size=(2, 3)), 2, vn.encoder.forward(x))
+
+
 def test_fuse_subspace():
     a = np.arange(6.0).reshape(3, 2)
     np.testing.assert_array_equal(fuse_subspace([a, a]), a)
     np.testing.assert_array_equal(fuse_subspace([np.zeros_like(a), 2 * a]), a)
     np.testing.assert_array_equal(fuse_subspace([a, 2 * a, 3 * a]),
                                   fuse_subspace([3 * a, a, 2 * a]))
-    with pytest.raises(ShapeError):
-        fuse_subspace([a, np.zeros((2, 2))])
+
+
+@pytest.mark.parametrize("other", [(2, 2), (3, 3), (3,)])
+def test_fuse_subspace_rejects_differing_latent_shapes(other):
+    a = np.zeros((3, 2))
+    with pytest.raises(ShapeError, match="^latent shapes differ across views: "):
+        fuse_subspace([a, a, np.zeros(other)])
 
 
 @pytest.mark.parametrize("n_views", [2, 3, 4, 5, 6])
@@ -326,7 +341,8 @@ def _ref_train_open(model, ds, probs, sched, batch_size, lr, seed):
             n_batches += 1
             for i, (vn, opt) in enumerate(zip(model.views, opts)):
                 x = ds.views[i][idx]
-                loss, g_enc, g_gen = ae_loss_open(vn, x, z_full[idx], n_views)
+                loss, g_enc, g_gen = ae_loss_open(vn, x, z_full[idx], n_views,
+                                                  vn.encoder.forward(x))
                 adam_step(opt.encoder, vn.encoder.params.flat, g_enc)
                 adam_step(opt.generator, vn.generator.params.flat, g_gen)
                 ae_sums[i] += loss
@@ -410,6 +426,25 @@ def test_open_batch_encodes_each_view_twice():
         fused = fuse_subspace([vn.encoder.forward(view)[0]
                                for vn, view in zip(model.views, ds.views)])
         assert result.z[:unselected].tobytes() == fused[:unselected].tobytes()
+
+
+def test_train_whose_gate_never_opens_exports_the_final_fusion(caplog):
+    ds, _ = three_view_setup()
+    probs = np.full(ds.n, 0.01)
+    probs[:10] = 1.0        # the pace stays above 0.01 for all 3 epochs
+    model = build_model([v.shape[1] for v in ds.views], 3,
+                        np.random.default_rng(0), hidden=(6,))
+    with caplog.at_level(logging.WARNING, logger="mvclust.network"):
+        result = train(model, ds, probs, PaceSchedule(max_epochs=3),
+                       batch_size=4, learning_rate=1e-3, seed=0)
+    assert [(r["mask_size"], r["gate"]) for r in result.log_rows] == [(10, 0)] * 3
+    assert result.gate_opened_epoch == -1
+    assert [r.getMessage() for r in caplog.records] == [
+        "gate never opened; emitting the fused per-view latents"]
+    # every row, selected ones too, holds the final encoders' fusion
+    fused = fuse_subspace([vn.encoder.forward(view)[0]
+                           for vn, view in zip(model.views, ds.views)])
+    assert result.z.tobytes() == fused.tobytes()
 
 
 def test_checkpoint_holds_every_parameter_exactly(tmp_path, rng):
