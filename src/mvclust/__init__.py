@@ -17,7 +17,7 @@ from .errors import (ConfigError, DataError, MvclustError, NumericalError,
 from .nets import (AdamState, MlpParams, MlpSpec, adam_step, init_mlp,
                    mlp_backward, mlp_forward)
 from .network import (GOLDEN_SECTION, MultiViewModel,
-                      ae_loss_closed, ae_loss_open, adversarial_losses,
+                      ae_loss, adversarial_losses,
                       build_model, fuse_subspace, gate, train)
 from .pipeline import ExperimentConfig, RunReport, ablate, export_embeddings, load_config, run
 from .sampling import (PaceSchedule, compute_probabilities, pace_value,

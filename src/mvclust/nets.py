@@ -100,7 +100,10 @@ def _act(name, z):
         return z
     if name == "relu":
         return np.maximum(z, 0.0, out=z)
-    return 1.0 / (1.0 + np.exp(-z))
+    # exp(-z) overflows to inf for z below about -709, and 1/(1 + inf) is
+    # exactly the 0 the sigmoid should give there
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def mlp_forward(params, spec, x):

@@ -17,8 +17,8 @@ from mvclust.data import (MultiViewDataset, NeighborPartition, build_partition,
 from mvclust.difficulty import (_batch_losses_and_grads, _hinge, _stack_batch,
                                 assign_difficulty, build_reconciler)
 from mvclust.nets import binary_log_likelihood
-from mvclust.network import (GOLDEN_SECTION, adversarial_losses,
-                             ae_loss_closed, ae_loss_open, build_model, gate)
+from mvclust.network import (GOLDEN_SECTION, adversarial_losses, ae_loss,
+                             build_model, gate)
 from mvclust.pipeline import export_embeddings, load_config, run
 from mvclust.sampling import PaceSchedule, compute_probabilities, pace_value
 
@@ -146,7 +146,7 @@ def _oracle_ae_closed(rng):
         z, _ = vn.encoder.forward(x)
         x_hat, _ = vn.generator.forward(z)
         ref = sum(((x[b] - x_hat[b]) ** 2).sum() for b in range(len(x))) / len(x)
-        assert rel_err(ae_loss_closed(vn, x)[0], ref) < 1e-12
+        assert rel_err(ae_loss(vn, x, vn.encoder.forward(x))[0], ref) < 1e-12
 
 
 def _oracle_ae_open(rng):
@@ -166,7 +166,7 @@ def _oracle_ae_open(rng):
                   + (1.0 / v) * (((x[t] - x_tilde[t]) ** 2).sum()
                                  + ((z_i[t] - z[t]) ** 2).sum())
                   for t in range(b)) / b
-        assert rel_err(ae_loss_open(vn, x, z, v, vn.encoder.forward(x))[0],
+        assert rel_err(ae_loss(vn, x, vn.encoder.forward(x), z, v)[0],
                        ref) < 1e-12
 
 
@@ -322,19 +322,16 @@ def test_criterion_3_gradient_checks():
         for point in range(10):
             vn, x, z, fake = _gan_setup(400 + point)
 
+            # in both gate states the loss encodes inside, so the encoder's
+            # gradient is checked
             enc_gen = [vn.encoder.params.flat, vn.generator.params.flat]
-            _, g_enc, g_gen = ae_loss_closed(vn, x)
-            _check_close(
-                [g_enc, g_gen],
-                numerical_grads(lambda: ae_loss_closed(vn, x)[0], enc_gen))
+            for common in ((), (z, 2)):
+                def loss():
+                    return ae_loss(vn, x, vn.encoder.forward(x), *common)
 
-            # the loss encodes inside, so the encoder's gradient is checked
-            _, g_enc, g_gen = ae_loss_open(vn, x, z, 2, vn.encoder.forward(x))
-            _check_close(
-                [g_enc, g_gen],
-                numerical_grads(
-                    lambda: ae_loss_open(vn, x, z, 2, vn.encoder.forward(x))[0],
-                    enc_gen))
+                _, g_enc, g_gen = loss()
+                _check_close([g_enc, g_gen],
+                             numerical_grads(lambda: loss()[0], enc_gen))
 
             def neg_disc_value():
                 p_real = np.clip(vn.discriminator.forward(x)[0], 1e-7, 1 - 1e-7)

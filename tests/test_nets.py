@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,15 @@ def test_sigmoid_at_zero_is_half(rng):
     params = MlpParams(np.zeros(spec.size), spec.layout)
     out, _ = mlp_forward(params, spec, rng.normal(size=(5, 3)))
     np.testing.assert_allclose(out, 0.5)
+
+
+def test_sigmoid_far_below_zero_is_exactly_zero_without_a_warning():
+    spec = MlpSpec((1, 1), ("sigmoid",))
+    params = MlpParams(np.array([1.0, 0.0]), spec.layout)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # exp(1000) overflows
+        out, _ = mlp_forward(params, spec, np.array([[-1000.0], [0.0]]))
+    assert out.ravel().tolist() == [0.0, 0.5]
 
 
 def straightline_forward(params, spec, x):

@@ -3,13 +3,13 @@ import logging
 import numpy as np
 import pytest
 
-from mvclust import nets
+from mvclust import nets, network
 from mvclust.data import MultiViewDataset, make_synthetic, load_manifest
 from mvclust.errors import ShapeError
 from mvclust.nets import MlpParams, MlpSpec, Net, adam_step, clamp_prob
 from mvclust.network import (GOLDEN_SECTION, ViewNets, _ViewOptimizers,
-                             _gan_round, adversarial_losses, ae_loss_closed,
-                             ae_loss_open, build_model, fuse_subspace, gate,
+                             _gan_round, adversarial_losses, ae_loss,
+                             build_model, fuse_subspace, gate,
                              save_checkpoint, train, write_training_log)
 from mvclust.sampling import PaceSchedule, pace_value, selection_mask
 
@@ -58,7 +58,8 @@ def test_gate_flip_exact():
 
 def test_ae_closed_identity_nets(rng):
     vn = identity_view(3)
-    loss, g_enc, g_gen = ae_loss_closed(vn, rng.normal(size=(5, 3)))
+    x = rng.normal(size=(5, 3))
+    loss, g_enc, g_gen = ae_loss(vn, x, vn.encoder.forward(x))
     assert loss == 0.0
 
 
@@ -66,7 +67,7 @@ def test_ae_closed_zero_generator_unit_rows():
     vn = identity_view(3)
     vn.generator.params.weights[0][:] = 0.0
     x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    loss, _, _ = ae_loss_closed(vn, x)
+    loss, _, _ = ae_loss(vn, x, vn.encoder.forward(x))
     assert abs(loss - 1.0) < 1e-12
 
 
@@ -75,10 +76,10 @@ def test_ae_closed_gradients_match_fd(rng):
     vn = model.views[0]
     x = rng.normal(size=(4, 5))
 
-    def loss():
-        return ae_loss_closed(vn, x)[0]
+    def loss():     # encodes inside, so the encoder's gradient is checked
+        return ae_loss(vn, x, vn.encoder.forward(x))[0]
 
-    _, g_enc, g_gen = ae_loss_closed(vn, x)
+    _, g_enc, g_gen = ae_loss(vn, x, vn.encoder.forward(x))
     flats = [vn.encoder.params.flat, vn.generator.params.flat]
     assert_grads_close([g_enc, g_gen], numerical_grads(loss, flats))
 
@@ -88,10 +89,10 @@ def test_ae_open_reduces_to_closed_when_z_matches(rng):
     vn = model.views[0]
     x = rng.normal(size=(4, 5))
     z_i, _ = vn.encoder.forward(x)
-    closed, _, _ = ae_loss_closed(vn, x)
+    closed, _, _ = ae_loss(vn, x, vn.encoder.forward(x))
     x_hat, _ = vn.generator.forward(z_i)
     recon = float(((x - x_hat) ** 2).sum() / len(x))
-    open_loss, _, _ = ae_loss_open(vn, x, z_i, 2, vn.encoder.forward(x))
+    open_loss, _, _ = ae_loss(vn, x, vn.encoder.forward(x), z_i, 2)
     assert abs(open_loss - (closed + 0.5 * recon)) < 1e-10
 
 
@@ -101,7 +102,7 @@ def test_ae_open_matches_straightline(rng):
     x = rng.normal(size=(3, 4))
     z = rng.normal(size=(3, 3))
     v = 2
-    loss, _, _ = ae_loss_open(vn, x, z, v, vn.encoder.forward(x))
+    loss, _, _ = ae_loss(vn, x, vn.encoder.forward(x), z, v)
     z_i, _ = vn.encoder.forward(x)
     x_hat, _ = vn.generator.forward(z_i)
     x_tilde, _ = vn.generator.forward(z)
@@ -121,11 +122,16 @@ def test_ae_open_gradients_match_fd(rng):
     z = rng.normal(size=(3, 3))
 
     def loss():     # encodes inside, so the encoder's gradient is checked
-        return ae_loss_open(vn, x, z, 2, vn.encoder.forward(x))[0]
+        return ae_loss(vn, x, vn.encoder.forward(x), z, 2)[0]
 
-    _, g_enc, g_gen = ae_loss_open(vn, x, z, 2, vn.encoder.forward(x))
+    _, g_enc, g_gen = ae_loss(vn, x, vn.encoder.forward(x), z, 2)
     flats = [vn.encoder.params.flat, vn.generator.params.flat]
     assert_grads_close([g_enc, g_gen], numerical_grads(loss, flats))
+
+
+def test_both_gate_states_name_the_one_reconstruction_loss():
+    # perfbench's tracer times the two gate states by these two names
+    assert network.ae_loss_closed is network.ae_loss_open is network.ae_loss
 
 
 def test_adversarial_value_at_half(rng):
@@ -208,7 +214,7 @@ def test_ae_open_rejects_common_rows_that_do_not_match_the_batch(rng):
     x = rng.normal(size=(3, 4))
     with pytest.raises(ShapeError,
                        match="^common-subspace rows do not match the batch$"):
-        ae_loss_open(vn, x, rng.normal(size=(2, 3)), 2, vn.encoder.forward(x))
+        ae_loss(vn, x, vn.encoder.forward(x), rng.normal(size=(2, 3)), 2)
 
 
 def test_fuse_subspace():
@@ -312,7 +318,7 @@ def test_training_log_written(tmp_path, rng):
                         "gen_value_v0,gen_value_v1,gen_value_v2")
 
 
-# --- open-gate latent cache against a loop that re-encodes every view ---------
+# --- train against reference loops that encode where each step needs it ------
 
 def _ref_train_open(model, ds, probs, sched, batch_size, lr, seed):
     """``train`` with the gate forced open, written as a loop that encodes
@@ -341,8 +347,8 @@ def _ref_train_open(model, ds, probs, sched, batch_size, lr, seed):
             n_batches += 1
             for i, (vn, opt) in enumerate(zip(model.views, opts)):
                 x = ds.views[i][idx]
-                loss, g_enc, g_gen = ae_loss_open(vn, x, z_full[idx], n_views,
-                                                  vn.encoder.forward(x))
+                loss, g_enc, g_gen = ae_loss(vn, x, vn.encoder.forward(x),
+                                             z_full[idx], n_views)
                 adam_step(opt.encoder, vn.encoder.params.flat, g_enc)
                 adam_step(opt.generator, vn.generator.params.flat, g_gen)
                 ae_sums[i] += loss
@@ -362,10 +368,54 @@ def _ref_train_open(model, ds, probs, sched, batch_size, lr, seed):
     return z_full, log_rows
 
 
+def _ref_train_closed(model, ds, probs, sched, batch_size, lr, seed):
+    """``train`` on a run whose gate never opens, written as a loop that
+    encodes each view inside its own reconstruction step. Returns the
+    exported common subspace and the log rows."""
+    rng = np.random.default_rng(seed)
+    opts = [_ViewOptimizers(lr) for _ in model.views]
+    n_views = ds.n_views
+    log_rows = []
+    for epoch in range(sched.max_epochs):
+        lam = pace_value(sched, epoch, probs)
+        selected = np.nonzero(selection_mask(probs, lam))[0]
+        assert not gate(len(selected), ds.n)
+        order = rng.permutation(len(selected))
+        ae_sums, adv_sums, n_batches = np.zeros(n_views), np.zeros((n_views, 2)), 0
+        for start in range(0, len(selected), batch_size):
+            idx = selected[order[start:start + batch_size]]
+            n_batches += 1
+            for i, (vn, opt) in enumerate(zip(model.views, opts)):
+                x = ds.views[i][idx]
+                loss, g_enc, g_gen = ae_loss(vn, x, vn.encoder.forward(x))
+                adam_step(opt.encoder, vn.encoder.params.flat, g_enc)
+                adam_step(opt.generator, vn.generator.params.flat, g_gen)
+                ae_sums[i] += loss
+                adv_sums[i] += _gan_round(vn, opt, x, vn.encoder.forward(x)[0],
+                                          epoch, n_batches)
+        log_rows.append({
+            "epoch": epoch, "lambda": lam, "mask_size": int(len(selected)),
+            "gate": 0, "ae_loss": (ae_sums / n_batches).tolist(),
+            "disc_value": (adv_sums[:, 0] / n_batches).tolist(),
+            "gen_value": (adv_sums[:, 1] / n_batches).tolist(),
+        })
+    z = fuse_subspace([vn.encoder.forward(view)[0]
+                       for vn, view in zip(model.views, ds.views)])
+    return z, log_rows
+
+
 def three_view_setup(n=40):
     rng = np.random.default_rng(5)
     ds = MultiViewDataset([rng.normal(size=(n, d)) for d in (5, 4, 3)])
     return ds, rng.uniform(0.2, 1.0, size=n)
+
+
+def assert_same_parameters(model, ref):
+    for vn, ref_vn in zip(model.views, ref.views):
+        for net, ref_net in ((vn.encoder, ref_vn.encoder),
+                             (vn.generator, ref_vn.generator),
+                             (vn.discriminator, ref_vn.discriminator)):
+            assert net.params.flat.tobytes() == ref_net.params.flat.tobytes()
 
 
 def test_open_gate_cache_matches_reencoding_loop():
@@ -381,17 +431,34 @@ def test_open_gate_cache_matches_reencoding_loop():
     assert result.gate_opened_epoch == 0
     assert result.z.tobytes() == ref_z.tobytes()
     assert result.log_rows == ref_rows
-    for vn, ref_vn in zip(model.views, ref.views):
-        for net, ref_net in ((vn.encoder, ref_vn.encoder),
-                             (vn.generator, ref_vn.generator),
-                             (vn.discriminator, ref_vn.discriminator)):
-            assert net.params.flat.tobytes() == ref_net.params.flat.tobytes()
+    assert_same_parameters(model, ref)
 
 
-def test_open_batch_encodes_each_view_twice():
+def test_closed_gate_up_front_encoding_matches_per_step_loop():
     ds, _ = three_view_setup()
-    model = build_model([v.shape[1] for v in ds.views], 3,
-                        np.random.default_rng(0), hidden=(6,))
+    probs = np.full(ds.n, 0.01)
+    probs[:20] = np.linspace(1.0, 0.3, 20)  # 1 to 20 rows; the gate needs 25
+    sched = PaceSchedule(max_epochs=6, initial_fraction=0.025,
+                         full_inclusion_epoch_fraction=1.0)   # pace >= 1/6
+    dims = [v.shape[1] for v in ds.views]
+    model = build_model(dims, 3, np.random.default_rng(0), hidden=(6,))
+    ref = build_model(dims, 3, np.random.default_rng(0), hidden=(6,))
+    result = train(model, ds, probs, sched, batch_size=4,
+                   learning_rate=1e-3, seed=2)
+    ref_z, ref_rows = _ref_train_closed(ref, ds, probs, sched,
+                                        batch_size=4, lr=1e-3, seed=2)
+    assert result.gate_opened_epoch == -1
+    assert [r["gate"] for r in result.log_rows] == [0] * sched.max_epochs
+    sizes = [r["mask_size"] for r in result.log_rows]
+    assert sizes[0] == 1 and sizes[-1] > 4          # some batches of 4 rows
+    assert result.z.tobytes() == ref_z.tobytes()
+    assert result.log_rows == ref_rows
+    assert_same_parameters(model, ref)
+
+
+def count_encoder_passes(model):
+    """Wrap each view's encoder forward; the returned list gets the view
+    index of every call, in call order."""
     calls = []
 
     def counted(v, forward):
@@ -402,6 +469,14 @@ def test_open_batch_encodes_each_view_twice():
 
     for v, vn in enumerate(model.views):
         vn.encoder.forward = counted(v, vn.encoder.forward)
+    return calls
+
+
+def test_open_batch_encodes_each_view_twice():
+    ds, _ = three_view_setup()
+    model = build_model([v.shape[1] for v in ds.views], 3,
+                        np.random.default_rng(0), hidden=(6,))
+    calls = count_encoder_passes(model)
     probs = np.ones(ds.n)
     for unselected in (0, 5):
         probs[:unselected] = 0.5                # below the pace of 1.0
@@ -426,6 +501,29 @@ def test_open_batch_encodes_each_view_twice():
         fused = fuse_subspace([vn.encoder.forward(view)[0]
                                for vn, view in zip(model.views, ds.views)])
         assert result.z[:unselected].tobytes() == fused[:unselected].tobytes()
+
+
+def test_closed_batch_encodes_each_view_twice():
+    ds, _ = three_view_setup()
+    model = build_model([v.shape[1] for v in ds.views], 3,
+                        np.random.default_rng(0), hidden=(6,))
+    calls = count_encoder_passes(model)
+    probs = np.full(ds.n, 0.5)
+    probs[:20] = 1.0                            # 20 rows; the gate needs 25
+    result = train(model, ds, probs, PaceSchedule(max_epochs=1),
+                   batch_size=16, seed=0)
+    n_views = ds.n_views
+    assert [(r["mask_size"], r["gate"]) for r in result.log_rows] == [(20, 0)]
+    batches = 2
+    # 2V encoder passes per closed batch (every view up front, in view
+    # order, whose result its reconstruction step uses, and every view
+    # again after its update), then the export-time encode of every row,
+    # once per view, since the gate never opened
+    assert len(calls) == batches * 2 * n_views + n_views
+    views = list(range(n_views))
+    for b in range(batches):
+        assert calls[b * 2 * n_views:(b + 1) * 2 * n_views] == views + views
+    assert calls[batches * 2 * n_views:] == views
 
 
 def test_train_whose_gate_never_opens_exports_the_final_fusion(caplog):

@@ -626,6 +626,32 @@ def test_cli_more_clusters_or_neighbors_than_samples_fail_before_any_output(
         assert not (tmp_path / "out").exists()
 
 
+def cli_env():
+    """The environment of a CLI subprocess that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mvclust.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_run_at_a_huge_learning_rate_warns_nothing(tmp_path):
+    # the sigmoid's exp overflows at this learning rate; its result, 0, is
+    # exact, so the run succeeds even with warnings turned into errors
+    manifest = make_synthetic(str(tmp_path / "data"), clusters=3, samples=40,
+                              seed=0)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[experiment]\nmanifest = {manifest}\n"
+                   "[reconcile]\nepochs = 2\n"
+                   "[network]\nepochs = 4\nhidden = 8\nlearning_rate = 1e10\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "mvclust.cli", "run",
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env=cli_env(), capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("INFO ") for line in lines), lines
+    assert "ACC" in proc.stdout
+
+
 def test_three_view_full_run_is_identical_across_blas_threads(tmp_path):
     # the CLI in fresh processes, so the BLAS thread count is read at start-up
     manifest = make_synthetic(str(tmp_path / "data"), clusters=3, samples=150,
@@ -634,13 +660,10 @@ def test_three_view_full_run_is_identical_across_blas_threads(tmp_path):
     cfg.write_text(f"[experiment]\nmanifest = {manifest}\n"
                    "[reconcile]\nepochs = 10\n"
                    "[network]\nepochs = 20\nlearning_rate = 1e-3\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mvclust.__file__)))
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"out{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = dict(cli_env(), OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "mvclust.cli", "run", "--config", str(cfg),
              "--out", str(out)],
