@@ -1,7 +1,7 @@
 """Dense feed-forward networks with hand-written backprop, plus Adam.
 
-Everything runs in float64. Networks are small (at most 4 weight layers),
-so explicit gradients are preferred over a general autodiff graph: the
+Everything runs in float64. Networks are small (a few narrow layers), so
+explicit gradients are preferred over a general autodiff graph: the
 gradient of every loss in the package can be checked against finite
 differences.
 """
@@ -254,16 +254,13 @@ def adam_step(state, params, grads, zero=()):
     before anything is changed.
 
     ``zero`` names slices of the vector (steps of 1, not overlapping) whose
-    gradient entries are all exactly zero. On a vector longer than
-    ``ADAM_CHUNK`` only the finiteness check reads them: there the moments
-    only decay, and the five passes that read the gradient are skipped. A
-    shorter vector takes the plain path, where the extra runs would cost
-    more than the skipped passes save. Adding (1-b1)*0 to m and
-    (1-b2)*0*0 to v changes no value, at most the sign of a zero, and no
-    update reads that sign: init_mlp writes no -0, and p - x is -0 only
-    for p = -0, so p - 0 and p - (-0) are both bitwise p. So the
-    parameters come out bitwise, and the moments as numbers, as from the
-    call without ``zero``.
+    gradient entries are all exactly zero. Only the finiteness check reads
+    them: there the moments only decay, and the five passes that read the
+    gradient are skipped. Adding (1-b1)*0 to m and (1-b2)*0*0 to v changes
+    no value, at most the sign of a zero, and no update reads that sign:
+    init_mlp writes no -0, and p - x is -0 only for p = -0, so p - 0 and
+    p - (-0) are both bitwise p. So the parameters come out bitwise, and
+    the moments as numbers, as from the call without ``zero``.
     """
     if params.ndim != 1 or params.shape != grads.shape:
         raise ShapeError(f"parameters of shape {params.shape} vs "
@@ -295,10 +292,7 @@ def adam_step(state, params, grads, zero=()):
     root = math.sqrt(1.0 - b2 ** t)
     step_size = state.learning_rate * root / (1.0 - b1 ** t)
     eps = ADAM_EPSILON * root
-    # on 9,760 parameters a call took 57 us plain and 68-79 us split into
-    # two or three runs (timeit, best of 7, on the VM named above)
-    runs = (_adam_runs(params.size, zero)
-            if zero and params.size > ADAM_CHUNK else [(0, params.size, True)])
+    runs = _adam_runs(params.size, zero) if zero else [(0, params.size, True)]
     for lo, hi, has_grad in runs:
         for start in range(lo, hi, ADAM_CHUNK):
             chunk = slice(start, min(start + ADAM_CHUNK, hi))

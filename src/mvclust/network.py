@@ -1,6 +1,6 @@
 """Per-view autoencoder/GAN training of a common latent subspace.
 
-Each view owns an encoder, a mirrored generator and a 3-layer discriminator.
+Each view owns an encoder, a mirrored generator and a discriminator.
 A gate compares the number of currently selected samples against the golden
 section of the dataset: while closed, each view trains its own autoencoder
 and GAN; once open, the views are additionally tied together through a fused
@@ -51,17 +51,19 @@ class MultiViewModel:
 
 
 def build_model(view_dims, latent_width, rng, hidden=(128, 64), disc_hidden=(64, 32)):
-    """Encoders d_i -> hidden -> latent, generators mirrored, 3-layer sigmoid
-    discriminators."""
+    """Encoders d_i -> hidden -> latent, generators mirrored, discriminators
+    d_i -> disc_hidden -> 1. Every hidden layer is relu; the encoder and
+    generator outputs are linear and the discriminator's a sigmoid."""
     views = []
     for d in view_dims:
         enc_widths = [d, *hidden, latent_width]
         gen_widths = list(reversed(enc_widths))
         enc_acts = ["relu"] * len(hidden) + ["identity"]
+        disc_acts = ["relu"] * len(disc_hidden) + ["sigmoid"]
         views.append(ViewNets(
             encoder=make_net(enc_widths, enc_acts, rng),
             generator=make_net(gen_widths, enc_acts, rng),
-            discriminator=make_net([d, *disc_hidden, 1], ["relu", "relu", "sigmoid"], rng),
+            discriminator=make_net([d, *disc_hidden, 1], disc_acts, rng),
         ))
     return MultiViewModel(views, latent_width)
 

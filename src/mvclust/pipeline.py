@@ -280,19 +280,15 @@ def _reconcile(cfg, prep):
     return Reconciled(labels, len(pairs), sim_rate)
 
 
-def _pick_best_view(dataset, clusters, seed, restarts, max_iter):
-    """The view whose raw features cluster best (needs labels); view 0 otherwise."""
+def _pick_best_view(cfg, dataset, clusters):
+    """The view whose raw features cluster best (needs labels), the first of
+    equals; view 0 without labels."""
     if dataset.labels is None:
         return 0
-    best, best_acc = 0, -1.0
-    for i, view in enumerate(dataset.views):
-        with _sized_by("clustering.restarts"):
-            model = clu.kmeans(view, clusters, max_iter=max_iter, seed=seed,
-                               restarts=restarts)
-        acc = clu.accuracy(model.assignments, dataset.labels)
-        if acc > best_acc:
-            best, best_acc = i, acc
-    return best
+    accs = [clu.accuracy(_cluster(cfg, view, clusters, cfg.seed).assignments,
+                         dataset.labels)
+            for view in dataset.views]
+    return int(np.argmax(accs))
 
 
 class _Shared:
@@ -318,9 +314,8 @@ class _Shared:
 
     @cached_property
     def best_view(self):
-        prep, cl = self.prepared, self.cfg.clustering
-        return _pick_best_view(prep.dataset, prep.clusters, self.cfg.seed,
-                               cl["restarts"], cl["max_iter"])
+        prep = self.prepared
+        return _pick_best_view(self.cfg, prep.dataset, prep.clusters)
 
 
 def _sampling_weights(variant, shared, labels):
@@ -360,13 +355,14 @@ def _train(cfg, dataset, weights):
     return model, result
 
 
-def _cluster(cfg, z, clusters):
-    """Stage 5: k-means on the common subspace."""
+def _cluster(cfg, z, clusters, seed):
+    """k-means on the rows of ``z``, as the config's clustering section says:
+    stage 5 on the common subspace, and the best-view pick on a raw view."""
     with _sized_by("clustering.restarts"):
         return clu.kmeans(
             z, clusters,
             max_iter=cfg.clustering["max_iter"],
-            seed=cfg.seed + 5,
+            seed=seed,
             restarts=cfg.clustering["restarts"],
         )
 
@@ -419,7 +415,7 @@ def run(cfg, shared=None):
            else Reconciled(prep.raw_labels))
     weights, best_view = _sampling_weights(cfg.variant, shared, rec.labels)
     model, result = _train(cfg, prep.dataset, weights)
-    km = _cluster(cfg, result.z, prep.clusters)
+    km = _cluster(cfg, result.z, prep.clusters, cfg.seed + 5)
     labels = prep.dataset.labels
     report = RunReport(
         variant=cfg.variant,

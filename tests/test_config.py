@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import inspect
 import io
 import os
 import tempfile
@@ -8,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvclust.cli import main
+from mvclust.cluster import kmeans
 from mvclust.data import make_synthetic
-from mvclust.pipeline import SCHEMA, VARIANTS
+from mvclust.difficulty import build_reconciler, train_reconciler
+from mvclust.network import GOLDEN_SECTION, build_model, train
+from mvclust.pipeline import SCHEMA, VARIANTS, _parse
+from mvclust.sampling import PaceSchedule
 
 KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -114,11 +120,38 @@ def test_readme_config_reference_matches_schema():
     for section, keys in SCHEMA.items():
         for key, (default, rule) in keys.items():
             text, doc_rule = documented[section][key]
-            if isinstance(default, tuple):
-                value = tuple(int(w) for w in text.split(","))
+            if (section, key) == ("experiment", "manifest"):
+                value = text     # required, so its empty default breaks its rule
             else:
-                value = type(default)(text)
+                value = _parse(f"{section}.{key}", text, default, rule)
             assert (value, doc_rule) == (default, rule), f"{section}.{key}"
+
+
+def _defaults(fn):
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_schema_defaults_are_the_library_defaults():
+    # each default is written in SCHEMA and again where the library takes
+    # it; reconcile.epochs and network.epochs have no library default
+    reconcile = {**_defaults(build_reconciler), **_defaults(train_reconciler)}
+    pace = {f.name: f.default for f in dataclasses.fields(PaceSchedule)}
+    library = {
+        ("data", "mu"): GOLDEN_SECTION,
+        **{("reconcile", key): reconcile[key]
+           for key in SCHEMA["reconcile"] if key != "epochs"},
+        ("network", "batch_size"): _defaults(train)["batch_size"],
+        ("network", "learning_rate"): _defaults(train)["learning_rate"],
+        ("network", "hidden"): _defaults(build_model)["hidden"],
+        ("network", "initial_fraction"): pace["initial_fraction"],
+        ("network", "full_inclusion_fraction"):
+            pace["full_inclusion_epoch_fraction"],
+        **{("clustering", key): _defaults(kmeans)[key]
+           for key in SCHEMA["clustering"]},
+    }
+    for (section, key), value in library.items():
+        assert SCHEMA[section][key][0] == value, f"{section}.{key}"
 
 
 # --- synth flags and eval label files ----------------------------------------

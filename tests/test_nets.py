@@ -296,45 +296,49 @@ def test_adam_finiteness_check_is_exact():
 
 def test_adam_with_zero_slices_is_the_plain_call():
     # on slices named zero the moments only decay; params match bytewise
-    # the call without them, the moments as numbers
+    # the call without them, the moments as numbers. The slices are laid
+    # out in units of c: c = ADAM_CHUNK puts their edges across chunk edges,
+    # c = 1000 makes a vector shorter than one chunk
     rng = np.random.default_rng(31)
-    size = 2 * ADAM_CHUNK + 100
-    always = slice(100, ADAM_CHUNK + 50)               # crosses a chunk edge
-    back = slice(ADAM_CHUNK + 50, ADAM_CHUNK + 300)    # zero, live, zero
-    tiny = slice(2 * ADAM_CHUNK - 10, 2 * ADAM_CHUNK + 20)
-    zero_at = [(always, back, tiny), (always,), (always, back, tiny),
-               (always, back, tiny), (back, tiny, always)]
-    params = rng.normal(size=size)
-    params[tiny.start + 3] = 0.0       # so that a step of ~1e-194 shows
-    ref, start = params.copy(), params.copy()
-    state, ref_state = AdamState(learning_rate=1e-2), AdamState(learning_rate=1e-2)
-    for step, zero in enumerate(zero_at):
-        grads = rng.normal(size=size)
-        if step == 1:
-            grads[tiny] = 0.0
-            grads[tiny.start + 3] = 1e-200     # its square underflows to 0
-            assert grads[tiny.start + 3] ** 2 == 0.0
-        for sl in zero:
-            grads[sl] = 0.0
-        if step == 3:
-            # a NaN outside the zero slices changes nothing
-            bad = grads.copy()
-            bad[ADAM_CHUNK + 400] = np.nan
-            before = [a.tobytes() for a in (params, state.m, state.v)]
-            with pytest.raises(NumericalError, match=f"index {ADAM_CHUNK + 400}$"):
-                adam_step(state, params, bad, zero=zero)
-            assert state.step == 3
-            assert [a.tobytes() for a in (params, state.m, state.v)] == before
-        adam_step(state, params, grads, zero=zero)
-        adam_step(ref_state, ref, grads)
-        assert params.tobytes() == ref.tobytes()
-        np.testing.assert_array_equal(state.m, ref_state.m)
-        np.testing.assert_array_equal(state.v, ref_state.v)
-    # the 1e-200 entry left v at 0 but not m, so its parameter kept moving
-    assert (state.v[tiny] == 0.0).all() and state.m[tiny.start + 3] != 0.0
-    assert params[tiny.start + 3] != 0.0
-    # a slice zero since the first step has m = v = 0 and never moves
-    assert params[always].tobytes() == start[always].tobytes()
+    for c in (ADAM_CHUNK, 1000):
+        size = 2 * c + 100
+        always = slice(100, c + 50)
+        back = slice(c + 50, c + 300)          # zero, live, zero
+        tiny = slice(2 * c - 10, 2 * c + 20)
+        zero_at = [(always, back, tiny), (always,), (always, back, tiny),
+                   (always, back, tiny), (back, tiny, always)]
+        params = rng.normal(size=size)
+        params[tiny.start + 3] = 0.0       # so that a step of ~1e-194 shows
+        ref, start = params.copy(), params.copy()
+        state, ref_state = (AdamState(learning_rate=1e-2),
+                            AdamState(learning_rate=1e-2))
+        for step, zero in enumerate(zero_at):
+            grads = rng.normal(size=size)
+            if step == 1:
+                grads[tiny] = 0.0
+                grads[tiny.start + 3] = 1e-200     # its square underflows to 0
+                assert grads[tiny.start + 3] ** 2 == 0.0
+            for sl in zero:
+                grads[sl] = 0.0
+            if step == 3:
+                # a NaN outside the zero slices changes nothing
+                bad = grads.copy()
+                bad[c + 400] = np.nan
+                before = [a.tobytes() for a in (params, state.m, state.v)]
+                with pytest.raises(NumericalError, match=f"index {c + 400}$"):
+                    adam_step(state, params, bad, zero=zero)
+                assert state.step == 3
+                assert [a.tobytes() for a in (params, state.m, state.v)] == before
+            adam_step(state, params, grads, zero=zero)
+            adam_step(ref_state, ref, grads)
+            assert params.tobytes() == ref.tobytes()
+            np.testing.assert_array_equal(state.m, ref_state.m)
+            np.testing.assert_array_equal(state.v, ref_state.v)
+        # the 1e-200 entry left v at 0 but not m, so its parameter kept moving
+        assert (state.v[tiny] == 0.0).all() and state.m[tiny.start + 3] != 0.0
+        assert params[tiny.start + 3] != 0.0
+        # a slice zero since the first step has m = v = 0 and never moves
+        assert params[always].tobytes() == start[always].tobytes()
 
 
 def test_adam_rejects_overlapping_or_outside_zero_slices():

@@ -179,6 +179,28 @@ def test_generator_adversarial_gradients_match_fd(rng):
                        numerical_grads(gen_value, [vn.generator.params.flat]))
 
 
+@pytest.mark.parametrize("disc_hidden", [(8,), (8, 4, 2)])
+def test_discriminator_depth_follows_disc_hidden(rng, disc_hidden):
+    vn = build_model([4], 2, rng, hidden=(5,), disc_hidden=disc_hidden).views[0]
+    spec = vn.discriminator.spec
+    assert spec.widths == (4, *disc_hidden, 1)
+    assert spec.activations == ("relu",) * len(disc_hidden) + ("sigmoid",)
+    # with zero biases a row whose relus all die feeds the next layer an
+    # exact 0, a kink finite differences cannot step over
+    for b in vn.discriminator.params.biases:
+        b[...] = rng.normal(scale=0.1, size=b.shape)
+    x, fake = rng.normal(size=(4, 4)), rng.normal(size=(3, 4))
+
+    def neg_disc_value():
+        p_real = clamp_prob(vn.discriminator.forward(x)[0])
+        p_fake = clamp_prob(vn.discriminator.forward(fake)[0])
+        return -float(np.log(p_real).mean() + np.log(1.0 - p_fake).mean())
+
+    _, disc_grads, _, _ = adversarial_losses(vn, x, fake)
+    assert_grads_close([disc_grads],
+                       numerical_grads(neg_disc_value, [vn.discriminator.params.flat]))
+
+
 def test_adversarial_losses_makes_two_disc_forwards_and_three_backwards(
         monkeypatch, rng):
     # the benchmark's network.disc_backward_per_adv reads this count

@@ -138,6 +138,17 @@ def test_run_cs_variant_picks_a_view(tmp_path):
     assert report.gate_opened_epoch == 0  # forced open
 
 
+def test_best_view_is_the_first_of_equals(tmp_path):
+    # k-means from one seed clusters identical views alike, so they tie
+    cfg = load_config(small_config(tmp_path))
+    ds = data.load_manifest(cfg.manifest)
+    good = ds.views[0]
+    noise = np.random.default_rng(0).normal(size=good.shape)
+    for views, want in (([good, good], 0), ([noise, good, good], 1)):
+        dataset = data.MultiViewDataset(views, ds.labels)
+        assert pipeline._pick_best_view(cfg, dataset, 3) == want
+
+
 def test_run_full_variant_reconciles(tmp_path):
     cfg = load_config(small_config(tmp_path))
     report = run(cfg)
